@@ -7,6 +7,14 @@ package runner
 // (TestBenchRegression in bench_regress_test.go) re-measures the same paths
 // and fails when any of them regresses beyond the tolerance.
 //
+// Timings are process CPU time, which is the op's own only when the runtime
+// has one P. With more Ps, the collector's mark workers run on the other Ps
+// while the op runs, and their CPU time is charged to the op as well. The
+// reference box has one vCPU, so the baseline was recorded at one P;
+// Calibrate, Measure and MeasureAllocs therefore hold GOMAXPROCS at
+// referenceProcs whatever the host's CPU count, and the collector's cost is
+// charged as it was there.
+//
 // Refresh the baseline after an intentional performance change with:
 //
 //	BENCH_REGRESS=update go test ./internal/runner -run TestBenchRegression
@@ -36,6 +44,10 @@ const BaselineSchema = "hawkeye-bench-baseline/v1"
 // DefaultTolerance is the fractional slowdown (vs the normalized baseline)
 // above which the gate fails.
 const DefaultTolerance = 0.15
+
+// referenceProcs is the GOMAXPROCS every measurement runs at: the reference
+// box's CPU count, at which BENCH_baseline.json was recorded.
+const referenceProcs = 1
 
 // Baseline is the checked-in reference measurement.
 type Baseline struct {
@@ -152,6 +164,9 @@ func Tier0Benchmarks() []Tier0Bench {
 // preferred over wall-clock time: `go test ./...` runs package test binaries
 // concurrently, so wall-clock timings of a single-threaded loop are inflated
 // by whatever else happens to be scheduled, while its CPU time stays stable.
+// That CPU time is the loop's own only at one P: with more, the collector's
+// mark workers on the other Ps are charged to it too, so callers hold
+// GOMAXPROCS at referenceProcs, the reference box's setting.
 func timedSection(f func()) time.Duration {
 	cpu0 := processCPUTime()
 	wall0 := time.Now()
@@ -169,8 +184,10 @@ func timedSection(f func()) time.Duration {
 // steady state, then a second block runs under the runtime's cumulative
 // Mallocs counter. GC pauses do not perturb the count (Mallocs is
 // monotonic), though a collection can clear sync.Pools mid-block and charge
-// their refill — gates carry a small absolute slack for that.
+// their refill — gates carry a small absolute slack for that. Like Measure,
+// it runs at referenceProcs Ps and restores the caller's GOMAXPROCS.
 func (t Tier0Bench) MeasureAllocs() float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(referenceProcs))
 	op := t.Setup()
 	iters := t.AllocIters
 	if iters <= 0 {
@@ -188,8 +205,11 @@ func (t Tier0Bench) MeasureAllocs() float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(iters)
 }
 
-// Measure times the benchmark and reports best-of-reps ns/op.
+// Measure times the benchmark and reports best-of-reps ns/op. Set-up,
+// warm-up and timing all run at referenceProcs Ps; the caller's GOMAXPROCS
+// is restored on return.
 func (t Tier0Bench) Measure() float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(referenceProcs))
 	op := t.Setup()
 	op() // warm up once outside the timed region
 	best := time.Duration(1<<63 - 1)
@@ -529,8 +549,11 @@ func setupExperiment(id string) func() func() {
 // Calibrate measures the fixed CPU reference loop (ns/op, best of 5). The
 // loop is pure integer work with a data dependency, so its speed tracks the
 // host CPU and is unaffected by simulator changes — dividing benchmark
-// numbers by it yields machine-independent ratios.
+// numbers by it yields machine-independent ratios. It runs at
+// referenceProcs Ps, as the benchmarks do, and restores the caller's
+// GOMAXPROCS.
 func Calibrate() float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(referenceProcs))
 	const iters = 8_000_000
 	best := time.Duration(1<<63 - 1)
 	sink := calibrationLoop(iters) // warm up

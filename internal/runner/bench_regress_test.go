@@ -3,6 +3,7 @@ package runner
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -98,6 +99,73 @@ func TestBenchRegression(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMeasureHoldsReferenceProcs checks that Calibrate, Measure and
+// MeasureAllocs run at referenceProcs Ps whatever the caller's GOMAXPROCS,
+// and hand the caller's value back on return. It is cheap, so -short keeps
+// it.
+func TestMeasureHoldsReferenceProcs(t *testing.T) {
+	const callerProcs = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(callerProcs))
+	restored := func(call string) {
+		t.Helper()
+		if n := runtime.GOMAXPROCS(0); n != callerProcs {
+			t.Errorf("after %s: GOMAXPROCS %d, want the caller's %d back", call, n, callerProcs)
+		}
+	}
+
+	var seen []int
+	stub := Tier0Bench{Name: "stub", Iters: 4, Reps: 2, Setup: func() func() {
+		return func() { seen = append(seen, runtime.GOMAXPROCS(0)) }
+	}}
+	for _, m := range []struct {
+		call    string
+		measure func()
+	}{
+		{"Measure", func() { stub.Measure() }},
+		{"MeasureAllocs", func() { stub.MeasureAllocs() }},
+	} {
+		seen = nil
+		m.measure()
+		if len(seen) == 0 {
+			t.Errorf("%s: op never ran", m.call)
+		}
+		for _, n := range seen {
+			if n != referenceProcs {
+				t.Errorf("%s: op ran at GOMAXPROCS %d, want %d", m.call, n, referenceProcs)
+				break
+			}
+		}
+		restored(m.call)
+	}
+
+	// Calibrate runs no caller code, so a second goroutine samples
+	// GOMAXPROCS while it runs. The value is callerProcs before and after
+	// the call, so a sample of referenceProcs can only come from inside it;
+	// the scheduler preempts the calibration loop every few milliseconds,
+	// which lets the sampler run even at one P.
+	stop := make(chan struct{})
+	sawRef := make(chan bool)
+	go func() {
+		saw := false
+		for {
+			select {
+			case <-stop:
+				sawRef <- saw
+				return
+			default:
+			}
+			saw = saw || runtime.GOMAXPROCS(0) == referenceProcs
+			runtime.Gosched()
+		}
+	}()
+	Calibrate()
+	close(stop)
+	if !<-sawRef {
+		t.Errorf("Calibrate: never ran at GOMAXPROCS %d", referenceProcs)
+	}
+	restored("Calibrate")
 }
 
 // updateBaseline re-measures every tier-0 benchmark and rewrites the

@@ -12,6 +12,11 @@ import (
 // `go test ./...` runs package test binaries concurrently, and on a loaded
 // machine wall-clock measurements of a single-threaded benchmark loop are
 // dominated by scheduling noise while its CPU time stays stable.
+//
+// Process CPU time is the loop's own only when the runtime has one P. With
+// more Ps, the collector's mark workers run on the other Ps and are charged
+// here too, so the harness holds GOMAXPROCS at referenceProcs, the
+// reference box's setting.
 func processCPUTime() time.Duration {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
