@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -178,7 +179,6 @@ func main() {
 	noSnapCache := flag.Bool("no-snapshot-cache", false, "build and fragment every machine from scratch instead of forking cached warm-up snapshots, and make any remaining cache forks deep copies (output is byte-identical either way)")
 	snapCacheBytes := flag.Int64("snapshot-cache-bytes", 0, "cap the warm-up snapshot cache's resident bytes, evicting least-recently-forked images (0 = unlimited)")
 	noTraceCache := flag.Bool("no-trace-cache", false, "sample every steady phase live instead of replaying the process-wide recorded access trace (output is byte-identical either way)")
-	noChunkMemo := flag.Bool("no-chunk-memo", false, "execute every replayed trace chunk through the per-run oracle path instead of applying cached chunk-effect deltas (output is byte-identical either way)")
 	traceCacheBytes := flag.Int64("trace-cache-bytes", 0, "cap the access-trace cache's resident bytes, evicting least-recently-attached traces (0 = unlimited)")
 	quiet := flag.Bool("quiet", false, "suppress the sweep progress line and latency summary on stderr")
 	debugAddr := flag.String("debug-addr", "", "serve live introspection endpoints (/metrics, /progress, /events, /debug/pprof) on this address while running (e.g. 127.0.0.1:6060; empty = off)")
@@ -189,6 +189,14 @@ func main() {
 	sweepSeeds := flag.Int("sweep-seeds", 1, "seeds per (policy, threshold) point, numbered up from -seed")
 	sweepKeep := flag.Float64("sweep-keep", 0.15, "page-cache residue fragmenting each sweep machine (0 = pristine)")
 	flag.Parse()
+
+	// Experiments treat a non-positive scale as "use the default", and a
+	// NaN or infinite one sizes machines from garbage, so reject all three
+	// before anything runs.
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "-scale must be finite and greater than 0, got %v\n", *scale)
+		os.Exit(2)
+	}
 
 	// Cache knobs apply process-wide, before any machine is built. The
 	// bypass flag is the one-flag escape hatch to pre-COW semantics: fresh
@@ -247,7 +255,7 @@ func main() {
 			thresholds: *sweepThresholds,
 			seeds:      *sweepSeeds,
 			keep:       *sweepKeep,
-		}, experiments.Options{Scale: *scale, Seed: *seed, Quick: *quick, NoSnapshotCache: *noSnapCache, NoTraceCache: *noTraceCache, NoChunkMemo: *noChunkMemo},
+		}, experiments.Options{Scale: *scale, Seed: *seed, Quick: *quick, NoSnapshotCache: *noSnapCache, NoTraceCache: *noTraceCache},
 			*parallel, *jsonOut, *quiet)
 		stopCPU()
 		os.Exit(code)
@@ -262,7 +270,7 @@ func main() {
 	if len(args) == 1 && args[0] == "all" {
 		ids = experiments.IDs()
 	}
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Quick: *quick, NoSnapshotCache: *noSnapCache, NoTraceCache: *noTraceCache, NoChunkMemo: *noChunkMemo}
+	opts := experiments.Options{Scale: *scale, Seed: *seed, Quick: *quick, NoSnapshotCache: *noSnapCache, NoTraceCache: *noTraceCache}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "trace-events:", err)

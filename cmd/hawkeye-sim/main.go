@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -36,9 +37,16 @@ func main() {
 	traceChrome := flag.String("trace-chrome", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
 	traceSample := flag.Float64("trace-sample", 0, "sample all vmstat counters into recorder series every this many simulated seconds (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve live introspection endpoints (/metrics, /progress, /events, /debug/pprof) on this address while running (empty = off)")
-	noChunkMemo := flag.Bool("no-chunk-memo", false, "execute every replayed trace chunk through the per-run oracle path instead of applying cached chunk-effect deltas (output is byte-identical either way)")
 	list := flag.Bool("list", false, "list policies and workloads, then exit")
 	flag.Parse()
+
+	// NewSim treats a non-positive scale as "use the default", and a NaN or
+	// infinite one sizes workloads from garbage, so reject all three before
+	// the machine is built.
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "-scale must be finite and greater than 0, got %v\n", *scale)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("policies: ", strings.Join(hawkeye.PolicyNames(), ", "))
@@ -71,7 +79,6 @@ func main() {
 		FragmentKeep: *fragment,
 		SwapBytes:    mem.Bytes(*swapGB * float64(1<<30)),
 		Trace:        traceCfg,
-		NoChunkMemo:  *noChunkMemo,
 	})
 
 	names := strings.Split(*workloads, ",")

@@ -104,8 +104,9 @@ type Options struct {
 	// MemoryBytes is the simulated DRAM size; default 8 GiB (the paper's
 	// 96 GB host at 1/12 scale).
 	MemoryBytes mem.Bytes
-	// Scale shrinks workload footprints; default 1/12 to match the memory
-	// scale.
+	// Scale shrinks workload footprints; 0 selects the default 1/12, which
+	// matches the memory scale. Any other value must be finite and greater
+	// than 0 (both CLIs reject the rest before building a machine).
 	Scale float64
 	// Seed makes runs reproducible; default 1.
 	Seed uint64
@@ -121,11 +122,6 @@ type Options struct {
 	// vmstat-counter subsystem; the recorder is reachable afterwards as
 	// Sim.K.Trace. Tracing never perturbs simulation results.
 	Trace *TraceConfig
-	// NoChunkMemo disables chunk-effect memoization on replayed steady
-	// quanta, forcing every chunk through the per-run oracle path. Output
-	// is byte-identical either way; this is an escape hatch for timing and
-	// verification.
-	NoChunkMemo bool
 }
 
 // TraceConfig configures the tracing subsystem (see internal/trace).
@@ -182,7 +178,6 @@ func NewSim(o Options) *Sim {
 	}
 	cfg.SwapBytes = o.SwapBytes
 	cfg.Trace = o.Trace
-	cfg.NoChunkMemo = o.NoChunkMemo
 	k := kernel.New(cfg, pol)
 	// Register with the live-introspection registry before anything runs
 	// (no-op unless tracing is on; scraped only while a debug server is up).

@@ -1,12 +1,11 @@
-// Package kernel impersonates the chunk-effect memoization counter hooks:
-// the machine binds chunk_effect_hits / chunk_effect_miss /
-// chunk_effect_invalidate handles once at trace attach, and the memoized
-// steady path ticks the stored nil-safe handles on every hit, miss and
-// stale-gate invalidation. The sanctioned shapes must stay silent — the
+// Package kernel impersonates the counter hooks of a kernel hot path that
+// tallies a per-chunk cache: the machine binds hit, miss and invalidate
+// handles once at trace attach, and the hot path ticks the stored nil-safe
+// handles on every outcome. The sanctioned shapes must stay silent — the
 // off-path of each hook is one branch and zero allocations — and the
 // tempting wrong shapes (per-chunk formatted counter names, an unguarded
-// registry deref on the apply path, an allocating label in a hook
-// argument) must be flagged.
+// registry deref on the hot path, an allocating label in a hook argument)
+// must be flagged.
 package kernel
 
 import (
@@ -15,8 +14,8 @@ import (
 	"hawkeye/internal/trace"
 )
 
-// Kernel is a stand-in machine holding the memo counter handles bound at
-// trace attach.
+// Kernel is a stand-in machine holding the counter handles bound at trace
+// attach.
 type Kernel struct {
 	Trace        *trace.Recorder
 	ctrChunkHit  *trace.Counter
@@ -26,7 +25,7 @@ type Kernel struct {
 
 // attachTrace is the sanctioned binding shape: the registry is proven live
 // by the explicit guard, and the handles are fetched once with constant
-// names — the memo hot path never touches the registry again.
+// names — the hot path never touches the registry again.
 func (k *Kernel) attachTrace() {
 	if k.Trace == nil || k.Trace.Counters == nil {
 		return
@@ -37,8 +36,8 @@ func (k *Kernel) attachTrace() {
 	k.ctrChunkInv = cs.Counter("chunk_effect_invalidate")
 }
 
-// chunkMemo is the memoized steady path: one Inc on a stored nil-safe
-// handle per outcome is the entire tracing cost of a fingerprint cycle.
+// chunkMemo is the sanctioned hot-path shape: one Inc on a stored nil-safe
+// handle per outcome is its entire tracing cost.
 func (k *Kernel) chunkMemo(hit, stale bool) {
 	if stale {
 		k.ctrChunkInv.Inc()

@@ -27,11 +27,11 @@ func TestTraceallocReplayHooks(t *testing.T) {
 }
 
 // TestTraceallocChunkMemoHooks analyzes the kernel testdata package — the
-// chunk-effect memoization counter shapes: handles bound once at trace
-// attach behind an explicit registry guard and ticked per
-// hit/miss/invalidate from the memoized steady path stay silent; per-chunk
-// formatted names, unguarded registry derefs and allocating hook arguments
-// on the same path are flagged.
+// counter shapes of a kernel hot path: handles bound once at trace attach
+// behind an explicit registry guard and ticked per hit/miss/invalidate
+// from the hot path stay silent; per-chunk formatted names, unguarded
+// registry derefs and allocating hook arguments on the same path are
+// flagged.
 func TestTraceallocChunkMemoHooks(t *testing.T) {
 	analysistest.Run(t, "testdata", tracealloc.Analyzer,
 		"hawkeye/internal/kernel",

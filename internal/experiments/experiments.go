@@ -23,8 +23,10 @@ import (
 
 // Options configures a reproduction run.
 type Options struct {
-	// Scale shrinks workload footprints and the machine (default 1/12:
-	// 8 GiB machine standing in for the paper's 96 GB host).
+	// Scale shrinks workload footprints and the machine; 0 selects the
+	// default 1/12 (an 8 GiB machine standing in for the paper's 96 GB
+	// host). Any other value must be finite and greater than 0
+	// (hawkeye-bench rejects the rest before running anything).
 	Scale float64
 	// MemoryBytes overrides the machine size (default 96 GB × Scale).
 	MemoryBytes mem.Bytes
@@ -66,15 +68,6 @@ type Options struct {
 	// pipeline to that contract) — so, like NoSnapshotCache, this is an
 	// escape hatch for timing and A/B-ing (hawkeye-bench -no-trace-cache).
 	NoTraceCache bool
-	// NoChunkMemo disables chunk-effect memoization on the replayed steady
-	// path: every replayed chunk decodes and executes its runs instead of
-	// applying a cached effect delta on a fingerprint hit. Output is
-	// byte-identical either way — the memo layer only fires when the
-	// fingerprinted machine state guarantees the per-run oracle would
-	// produce exactly the cached effect (TestChunkMemoMatchesOracle and the
-	// CI sweep-smoke cmp hold it to that contract) — so this is the oracle
-	// escape hatch for timing and A/B-ing (hawkeye-bench -no-chunk-memo).
-	NoChunkMemo bool
 }
 
 // Metrics aggregates simulation counters across every machine an experiment
@@ -344,7 +337,6 @@ func (o Options) kernelConfig() kernel.Config {
 	cfg.MemoryBytes = o.MemoryBytes
 	cfg.Seed = o.Seed
 	cfg.ScalarPath = o.Scalar
-	cfg.NoChunkMemo = o.NoChunkMemo
 	cfg.Trace = o.Trace
 	return cfg
 }

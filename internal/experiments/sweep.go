@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -59,8 +60,9 @@ func (s SweepSpec) Cells(baseSeed uint64) []SweepCell {
 	return cells
 }
 
-// Validate rejects grids that would fail mid-run: unknown workload or policy
-// names, empty axes.
+// Validate rejects grids that would fail mid-run or mean nothing: unknown
+// workload or policy names, empty axes, and thresholds that are NaN,
+// infinite or negative (no policy knob has a meaning for them).
 func (s SweepSpec) Validate() error {
 	if _, ok := workload.Catalog()[s.Workload]; !ok {
 		names := make([]string, 0)
@@ -73,6 +75,11 @@ func (s SweepSpec) Validate() error {
 	if len(s.Policies) == 0 || len(s.Thresholds) == 0 || s.Seeds < 1 {
 		return fmt.Errorf("sweep: empty grid (policies=%d thresholds=%d seeds=%d)",
 			len(s.Policies), len(s.Thresholds), s.Seeds)
+	}
+	for _, th := range s.Thresholds {
+		if math.IsNaN(th) || math.IsInf(th, 0) || th < 0 {
+			return fmt.Errorf("sweep: threshold %v must be finite and non-negative", th)
+		}
 	}
 	for _, name := range s.Policies {
 		if _, err := sweepPolicy(name, 0.5, false); err != nil {

@@ -185,29 +185,17 @@ func (k *Kernel) steadyRunBatched(p *Proc, dur sim.Time, s RunSampler) (SteadyRe
 	prof := s.Profile()
 	var walkTotal sim.Cycles
 	var faultCost sim.Time
-	handled := false
-	if !k.Cfg.NoChunkMemo {
-		if ms, ok := s.(MemoSampler); ok {
-			var err error
-			walkTotal, faultCost, handled, err = k.chunkMemo(p, ms, &prof, samples)
-			if err != nil {
-				return res, err
-			}
-		}
+	if p.runBuf == nil {
+		p.runBuf = getRunBuf()
 	}
-	if !handled {
-		if p.runBuf == nil {
-			p.runBuf = getRunBuf()
+	p.runBuf = s.SampleRun(p.rng, p.runBuf[:0], samples)
+	for i := range p.runBuf {
+		r, err := k.TouchRun(p, p.runBuf[i], &prof)
+		if err != nil {
+			return res, err
 		}
-		p.runBuf = s.SampleRun(p.rng, p.runBuf[:0], samples)
-		for i := range p.runBuf {
-			r, err := k.TouchRun(p, p.runBuf[i], &prof)
-			if err != nil {
-				return res, err
-			}
-			faultCost += r.FaultCost
-			walkTotal += r.Walk
-		}
+		faultCost += r.FaultCost
+		walkTotal += r.Walk
 	}
 	avgWalk := float64(walkTotal) / float64(samples)
 	overhead := avgWalk / (prof.CyclesPerAccess + avgWalk)

@@ -97,28 +97,6 @@ type setAssoc struct {
 	mask  uint64     // nsets - 1
 	assoc int
 	tick  uint64
-
-	// Chunk-memo bookkeeping (see memo.go). digests is a per-set XOR fold
-	// of position-mixed entry keys, maintained incrementally at every key
-	// write so fingerprinting a set is O(1); XOR telescopes, so a memoized
-	// apply that installs only each slot's final key leaves digests exactly
-	// as live execution would. gens counts key writes per set and muts per
-	// array — record-path bookkeeping only (diff skipping and the
-	// escaped-fill belt), never fingerprint material: equal counts do not
-	// imply equal state.
-	digests []uint64
-	gens    []uint32
-	muts    uint64
-}
-
-// noteKey maintains the memo digests and generation counters across a key
-// write at global slot i. Callers invoke it only when the key actually
-// changes; pure LRU restamps leave all three untouched.
-func (s *setAssoc) noteKey(i int, old, new entryKey) {
-	set := i / s.assoc
-	s.digests[set] ^= keyMix(uint64(old), i) ^ keyMix(uint64(new), i)
-	s.gens[set]++
-	s.muts++
 }
 
 func newSetAssoc(entries, assoc int) *setAssoc {
@@ -136,12 +114,10 @@ func newSetAssoc(entries, assoc int) *setAssoc {
 		nsets &= nsets - 1
 	}
 	return &setAssoc{
-		assoc:   assoc,
-		mask:    uint64(nsets - 1),
-		keys:    make([]entryKey, nsets*assoc),
-		lrus:    make([]uint64, nsets*assoc),
-		digests: make([]uint64, nsets),
-		gens:    make([]uint32, nsets),
+		assoc: assoc,
+		mask:  uint64(nsets - 1),
+		keys:  make([]entryKey, nsets*assoc),
+		lrus:  make([]uint64, nsets*assoc),
 	}
 }
 
@@ -172,7 +148,6 @@ func (s *setAssoc) insert(pid int32, page int64, huge bool) {
 			victim = i
 		}
 	}
-	s.noteKey(victim, s.keys[victim], key)
 	s.keys[victim] = key
 	s.lrus[victim] = s.tick
 }
@@ -272,7 +247,6 @@ func (s *setAssoc) probe(key entryKey, page int64) (hit bool, victim int) {
 func (s *setAssoc) fill(victim int, key entryKey, page int64) {
 	s.tick++
 	base := s.setBase(page)
-	s.noteKey(base+victim, s.keys[base+victim], key)
 	s.keys[base+victim] = key
 	s.lrus[base+victim] = s.tick
 }
@@ -299,7 +273,6 @@ func (s *setAssoc) invalidatePID(pid int32) {
 	for i := range s.keys {
 		k := s.keys[i]
 		if k.valid() && k.pid() == pid {
-			s.noteKey(i, k, 0)
 			s.keys[i] = 0
 			s.lrus[i] = 0
 		}
@@ -316,12 +289,10 @@ func (s *setAssoc) invalidateRange(pid int32, lo, hi, region int64) {
 		}
 		if k.huge() {
 			if k.page() == region {
-				s.noteKey(i, k, 0)
 				s.keys[i] = 0
 				s.lrus[i] = 0
 			}
 		} else if p := k.page(); p >= lo && p < hi {
-			s.noteKey(i, k, 0)
 			s.keys[i] = 0
 			s.lrus[i] = 0
 		}
@@ -379,14 +350,11 @@ func (t *TLB) Config() Config { return t.cfg }
 // copy's future victim choices match the original's exactly.
 func (s *setAssoc) clone() *setAssoc {
 	return &setAssoc{
-		keys:    append([]entryKey(nil), s.keys...),
-		lrus:    append([]uint64(nil), s.lrus...),
-		mask:    s.mask,
-		assoc:   s.assoc,
-		tick:    s.tick,
-		digests: append([]uint64(nil), s.digests...),
-		gens:    append([]uint32(nil), s.gens...),
-		muts:    s.muts,
+		keys:  append([]entryKey(nil), s.keys...),
+		lrus:  append([]uint64(nil), s.lrus...),
+		mask:  s.mask,
+		assoc: s.assoc,
+		tick:  s.tick,
 	}
 }
 
@@ -406,35 +374,6 @@ func (t *TLB) Clone() *TLB {
 		L2Hits:  t.L2Hits,
 		Misses:  t.Misses,
 	}
-}
-
-// copyFrom overwrites s with src in place. Both arrays must share a
-// geometry; no memory is allocated.
-func (s *setAssoc) copyFrom(src *setAssoc) {
-	copy(s.keys, src.keys)
-	copy(s.lrus, src.lrus)
-	copy(s.digests, src.digests)
-	copy(s.gens, src.gens)
-	s.tick = src.tick
-	s.muts = src.muts
-}
-
-// CopyFrom rewinds t to src's exact state — entries, recency stamps, memo
-// digests and counters — without allocating: the harness-side complement of
-// Clone for timed loops that must restart every iteration from one pinned
-// translation state (a Clone per iteration would charge the allocator for
-// what is logically a restore). Both TLBs must share a configuration.
-func (t *TLB) CopyFrom(src *TLB) {
-	if t.cfg != src.cfg {
-		panic("tlb: CopyFrom across different configurations")
-	}
-	t.l1Base.copyFrom(src.l1Base)
-	t.l1Huge.copyFrom(src.l1Huge)
-	t.l2.copyFrom(src.l2)
-	t.Lookups = src.Lookups
-	t.L1Hits = src.L1Hits
-	t.L2Hits = src.L2Hits
-	t.Misses = src.Misses
 }
 
 // Access translates (pid, page) where page is a VPN for base mappings or a

@@ -88,21 +88,7 @@ type Region struct {
 	// base faults fill in place, enabling copy-free promotion.
 	Reserved      bool
 	ReservedBlock mem.Block
-
-	// gen counts mapping mutations — every map/unmap/migrate through the
-	// six VMM primitives bumps it. The chunk-memo layer caches per-region
-	// gate verdicts (can this chunk's touches run fault-free?) keyed on it,
-	// so promotion, demotion, swap and compaction invalidate those verdicts
-	// by construction. Access/dirty bit updates do not bump: the gate never
-	// depends on them.
-	gen uint32
 }
-
-// Gen reports the region's mapping-mutation generation (see gen).
-func (r *Region) Gen() uint32 { return r.gen }
-
-// bumpGen invalidates cached chunk-memo gate verdicts for the region.
-func (r *Region) bumpGen() { r.gen++ }
 
 // Populated reports present base pages (or 512 for a huge mapping).
 func (r *Region) Populated() int {

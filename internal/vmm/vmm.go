@@ -286,7 +286,6 @@ func (v *VMM) MapBase(p *Process, r *Region, slot int, frame mem.FrameID) {
 	e.Frame = frame
 	e.Flags = ptePresent
 	r.markMapped(slot)
-	r.bumpGen()
 	r.populated++
 	r.resident++
 	p.rss++
@@ -307,7 +306,6 @@ func (v *VMM) MapShared(p *Process, r *Region, slot int, frame mem.FrameID) {
 	e.Frame = frame
 	e.Flags = ptePresent | pteCOW
 	r.markMapped(slot)
-	r.bumpGen()
 	r.populated++
 	if frame != v.ZeroFrame {
 		v.refs[frame]++
@@ -326,7 +324,6 @@ func (v *VMM) MapHuge(p *Process, r *Region, head mem.FrameID) {
 	r.Huge = true
 	r.HugeFrame = head
 	r.hugeFlags = ptePresent | pteAccessed
-	r.bumpGen()
 	p.hugeMapped++
 	p.rss += mem.HugePages
 	v.rmap.Set(int(head), mapping{reg: r.Index, pid: int32(p.PID), slot: -1, kind: mapHuge})
@@ -344,7 +341,6 @@ func (v *VMM) UnmapBase(p *Process, r *Region, slot int, freeFrame bool) {
 	e.Frame = mem.NoFrame
 	e.Flags = 0
 	r.markUnmapped(slot)
-	r.bumpGen()
 	r.populated--
 	if shared {
 		if frame != v.ZeroFrame {
@@ -373,7 +369,6 @@ func (v *VMM) UnmapHuge(p *Process, r *Region, freeFrames bool) {
 	r.Huge = false
 	r.HugeFrame = mem.NoFrame
 	r.hugeFlags = 0
-	r.bumpGen()
 	p.hugeMapped--
 	p.rss -= mem.HugePages
 	v.rmap.Set(int(head), mapping{})
@@ -399,7 +394,6 @@ func (v *VMM) MoveFrame(old, new mem.FrameID) bool {
 	r := v.procs[m.pid].region(m.reg)
 	e := &r.PTEs[m.slot]
 	e.Frame = new
-	r.bumpGen()
 	v.rmap.Set(int(new), m)
 	v.rmap.Set(int(old), mapping{})
 	return true

@@ -75,14 +75,10 @@ var (
 // TraceFor returns the process-wide trace for key, creating an empty one on
 // first use, and reports how many traces this call evicted under the byte
 // budget. The caller's cfg must have Engine and Trace nil-normalized
-// (TraceFor enforces it by clearing both). NoChunkMemo is normalized out
-// too: the escape hatch changes how a machine executes a chunk, never the
-// stream itself, so memoized and oracle runs must share one trace — the
-// golden byte-identity tests depend on it.
+// (TraceFor enforces it by clearing both).
 func TraceFor(key TraceKey) (*Trace, int64) {
 	key.Cfg.Engine = nil
 	key.Cfg.Trace = nil
-	key.Cfg.NoChunkMemo = false
 	tmu.Lock()
 	defer tmu.Unlock()
 	e := tentries[key]
