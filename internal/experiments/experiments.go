@@ -72,30 +72,33 @@ type Options struct {
 
 // Metrics aggregates simulation counters across every machine an experiment
 // creates. It is safe for concurrent use so the parallel runner can share
-// one per experiment while workers run side by side.
+// one per experiment while workers run side by side. It keeps each engine's
+// event tally, not the engine, so a machine is garbage once its experiment
+// code drops it.
 type Metrics struct {
 	mu   sync.Mutex
-	seen map[*sim.Engine]struct{}
-	// engines holds the registration order; sums walk this slice rather
+	seen map[*sim.EventCount]struct{}
+	// counts holds the registration order; sums walk this slice rather
 	// than the dedup map so aggregation order never depends on map order.
-	engines []*sim.Engine
+	counts []*sim.EventCount
 }
 
 // NewMetrics returns an empty collector.
 func NewMetrics() *Metrics {
-	return &Metrics{seen: make(map[*sim.Engine]struct{})}
+	return &Metrics{seen: make(map[*sim.EventCount]struct{})}
 }
 
-// observe registers a machine's event engine (deduplicated by pointer, so
+// observe registers a machine's event tally (deduplicated by pointer, so
 // co-simulated kernels sharing one engine are counted once).
 func (m *Metrics) observe(e *sim.Engine) {
 	if m == nil || e == nil {
 		return
 	}
+	c := e.Events()
 	m.mu.Lock()
-	if _, ok := m.seen[e]; !ok {
-		m.seen[e] = struct{}{}
-		m.engines = append(m.engines, e)
+	if _, ok := m.seen[c]; !ok {
+		m.seen[c] = struct{}{}
+		m.counts = append(m.counts, c)
 	}
 	m.mu.Unlock()
 }
@@ -108,8 +111,8 @@ func (m *Metrics) EventsFired() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var n uint64
-	for _, e := range m.engines {
-		n += e.Fired()
+	for _, c := range m.counts {
+		n += c.Load()
 	}
 	return n
 }

@@ -61,8 +61,10 @@ func (s SweepSpec) Cells(baseSeed uint64) []SweepCell {
 }
 
 // Validate rejects grids that would fail mid-run or mean nothing: unknown
-// workload or policy names, empty axes, and thresholds that are NaN,
-// infinite or negative (no policy knob has a meaning for them).
+// workload or policy names, empty axes, thresholds that are NaN, infinite
+// or negative (no policy knob has a meaning for them), and a FragKeep
+// outside [0, 1] (a share of memory; the caches key on it, so a NaN keep
+// would build and leak one machine and one trace per cell).
 func (s SweepSpec) Validate() error {
 	if _, ok := workload.Catalog()[s.Workload]; !ok {
 		names := make([]string, 0)
@@ -80,6 +82,9 @@ func (s SweepSpec) Validate() error {
 		if math.IsNaN(th) || math.IsInf(th, 0) || th < 0 {
 			return fmt.Errorf("sweep: threshold %v must be finite and non-negative", th)
 		}
+	}
+	if !(s.FragKeep >= 0 && s.FragKeep <= 1) {
+		return fmt.Errorf("sweep: keep %v must be within [0, 1]", s.FragKeep)
 	}
 	for _, name := range s.Policies {
 		if _, err := sweepPolicy(name, 0.5, false); err != nil {

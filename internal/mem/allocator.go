@@ -73,11 +73,12 @@ type Allocator struct {
 	peakAllocated Pages
 	tagPages      [5]Pages // allocated pages per Tag (TagFree unused)
 
-	// fileLIFO holds reclaimable page-cache frames (LIFO). The table is
-	// sized to the machine up front (lazy chunks make that free) and
-	// lifoLen tracks the live prefix; pushFile grows it on the rare
-	// occasion reclaim/re-fill churn pushes past the initial size.
-	fileLIFO *cow.Table[FrameID]
+	// fileLIFO holds reclaimable page-cache frames (LIFO), as int32 frame
+	// numbers like the free-list links. The table is sized to the machine
+	// up front (lazy chunks make that free) and lifoLen tracks the live
+	// prefix; pushFile grows it on the rare occasion reclaim/re-fill churn
+	// pushes past the initial size.
+	fileLIFO *cow.Table[int32]
 	lifoLen  int
 	mover    Mover
 
@@ -124,7 +125,7 @@ func NewAllocator(totalBytes Bytes) *Allocator {
 		totalPages: pages,
 		// Pre-size the page-cache LIFO for the fragmentation experiments,
 		// which push every frame of the machine through it.
-		fileLIFO: cow.NewTable[FrameID](int(pages), 0),
+		fileLIFO: cow.NewTable[int32](int(pages), 0),
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		a.heads[o][classZero] = NoFrame
@@ -486,7 +487,7 @@ func (a *Allocator) pushFile(id FrameID) {
 	if a.lifoLen == a.fileLIFO.Len() {
 		a.fileLIFO.Grow(a.lifoLen + a.lifoLen/2 + 1)
 	}
-	a.fileLIFO.Set(a.lifoLen, id)
+	a.fileLIFO.Set(a.lifoLen, int32(id))
 	a.lifoLen++
 }
 
@@ -645,7 +646,7 @@ func (a *Allocator) DrainAllFile() []FrameID {
 func (a *Allocator) reclaimFile(n int) int {
 	dropped := 0
 	for dropped < n && a.lifoLen > 0 {
-		id := a.fileLIFO.Get(a.lifoLen - 1)
+		id := FrameID(a.fileLIFO.Get(a.lifoLen - 1))
 		a.lifoLen--
 		if a.frames.Get(int(id)).tag != TagFile {
 			continue // already freed explicitly

@@ -405,7 +405,7 @@ func TestBytesHelpers(t *testing.T) {
 	if Regions(3).Pages() != 3*HugePages || Regions(3).Bytes() != 3*HugeSize {
 		t.Fatal("Regions helpers wrong")
 	}
-	if Pages(HugePages + 1).Regions() != 1 || Bytes(HugeSize + 1).Regions() != 2 {
+	if Pages(HugePages+1).Regions() != 1 || Bytes(HugeSize+1).Regions() != 2 {
 		t.Fatal("Regions rounding wrong")
 	}
 }

@@ -48,6 +48,15 @@ func (h *eventHeap) Pop() any {
 // ErrStopped is returned by Run when the engine was stopped explicitly.
 var ErrStopped = errors.New("sim: engine stopped")
 
+// EventCount is the tally of events an engine has executed. It is a
+// separate object from the engine, so an observer that keeps it to read
+// after the run does not keep the engine reachable — nor the queued
+// closures that hold the machine the engine drives.
+type EventCount struct{ n uint64 }
+
+// Load reports the tally.
+func (c *EventCount) Load() uint64 { return c.n }
+
 // Engine is a single-threaded discrete-event executor.
 type Engine struct {
 	Clock Clock
@@ -56,12 +65,12 @@ type Engine struct {
 	queue   eventHeap
 	seq     uint64
 	stopped bool
-	fired   uint64
+	fired   *EventCount
 }
 
 // NewEngine returns an engine with the given RNG seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{Rand: NewRand(seed)}
+	return &Engine{Rand: NewRand(seed), fired: new(EventCount)}
 }
 
 // Now returns the current simulated time.
@@ -111,7 +120,11 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Fired reports the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
+func (e *Engine) Fired() uint64 { return e.fired.n }
+
+// Events returns the engine's event tally, which keeps counting as the
+// engine runs.
+func (e *Engine) Events() *EventCount { return e.fired }
 
 // Run executes events until the queue drains, an event errors, Stop is
 // called, or the clock passes deadline (deadline 0 means no deadline).
@@ -128,7 +141,7 @@ func (e *Engine) Run(deadline Time) error {
 		}
 		heap.Pop(&e.queue)
 		e.Clock.Advance(next.at)
-		e.fired++
+		e.fired.n++
 		if err := next.event.Fire(e); err != nil {
 			return fmt.Errorf("sim: event %q at %v: %w", next.label, next.at, err)
 		}

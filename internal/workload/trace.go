@@ -19,9 +19,10 @@ package workload
 // recorded post-state — so a replayed consumer is indistinguishable,
 // state-wise, from one that sampled live. Any mismatch (a policy consumed
 // the process RNG, a different samples-per-quantum, a scalar-path Sample
-// call, an out-of-range VPN) permanently drops the consumer to a live
-// fallback Sampler that was kept synchronized at every chunk boundary, so
-// outputs stay byte-identical even when replay cannot be used.
+// call, a run the trace layout cannot hold) permanently drops the consumer
+// to a live fallback Sampler that was kept synchronized at every chunk
+// boundary, so outputs stay byte-identical even when replay cannot be
+// used.
 //
 // Traces extend lazily: cells consume different numbers of quanta (policies
 // accrue work at different rates), so the first consumer to reach an
@@ -30,7 +31,10 @@ package workload
 // replayers read them without locking beyond the descriptor fetch.
 
 import (
+	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/mem"
@@ -83,30 +87,63 @@ func (g Geometry) sampler() Sampler {
 }
 
 // traceChunk describes one captured SampleRun call: the run-length records
-// of its n samples (as slices into the trace's arena) and the stream state
-// around it. pre/post are the RNG states before/after the chunk's draws;
-// seqPos/seqCnt are the master sampler's Sequential dwell state after the
-// chunk, which a fallback sampler needs to continue the stream live.
+// of its n samples (as columns sliced out of the trace's arena) and the
+// stream state around it. pre/post are the RNG states before/after the
+// chunk's draws; seqPos/seqCnt are the master sampler's Sequential dwell
+// state after the chunk, which a fallback sampler needs to continue the
+// stream live.
 type traceChunk struct {
 	pre    [4]uint64
 	post   [4]uint64
 	seqPos int64
 	seqCnt int
 
-	starts []uint32 // absolute VPNs (asserted to fit 32 bits at capture)
+	// Run starts as offsets from Geometry.Base. Exactly one of the two is
+	// non-nil, fixed per trace by its geometry (see Trace.wide).
+	off16 []uint16
+	off32 []uint32
+	// writes holds one bit per run (bit i%64 of word i/64 set = write run).
+	writes []uint64
+	// counts is nil when every run of the chunk has Count 1 — the common
+	// case for Hotspot and Uniform streams, which merge only on chance
+	// repeats.
 	counts []uint32
-	writes []uint8 // 0 = read run, 1 = write run
 }
 
-// traceChunkOverhead approximates the heap cost of one chunk descriptor for
-// byte budgeting (three slice headers + two states + dwell state).
-const traceChunkOverhead = 128
+// traceChunkOverhead is the resident cost of one chunk descriptor, charged
+// to Trace.Bytes on top of the arena slabs.
+const traceChunkOverhead = int64(unsafe.Sizeof(traceChunk{}))
 
-// arenaSlabElems is the granularity of arena growth: one allocation holds
-// the starts+counts words (and a sibling byte slab the write flags) for
-// many chunks, so capture allocates a handful of slabs per trace rather
-// than per chunk.
-const arenaSlabElems = 1 << 16
+// narrowPages is the largest footprint whose run offsets fit a uint16.
+const narrowPages = 1 << 16
+
+// Arena slab bounds. Each column's slabs start at minSlabBytes and double
+// up to maxSlabBytes, so a short trace reserves a few KiB per column and a
+// long one allocates a few dozen slabs in all.
+const (
+	minSlabBytes = 4 << 10
+	maxSlabBytes = 256 << 10
+)
+
+// slab is one column's append-only arena: carve hands out capacity-capped
+// sub-slices of the current backing array, and a full array is retired
+// rather than grown, so published columns never move and later carving
+// never aliases them.
+type slab[T uint16 | uint32 | uint64] struct{ buf []T }
+
+// carve returns n zeroed elements, adding any new backing array's bytes to
+// *bytes.
+func (s *slab[T]) carve(n int, bytes *int64) []T {
+	if cap(s.buf)-len(s.buf) < n {
+		size := int(unsafe.Sizeof(T(0)))
+		elems := max(min(2*cap(s.buf), maxSlabBytes/size), minSlabBytes/size, n)
+		s.buf = make([]T, 0, elems)
+		*bytes += int64(elems * size)
+	}
+	lo := len(s.buf)
+	s.buf = s.buf[:lo+n]
+	return s.buf[lo : lo+n : lo+n]
+}
 
 // Trace is an immutable-once-published, lazily extended run-length record
 // of one sampler stream. Safe for concurrent use by any number of
@@ -120,28 +157,37 @@ type Trace struct {
 	broken bool // capture hit an unencodable stream; replay disabled
 	chunks []traceChunk
 
-	// Arena slabs: starts and counts of a chunk share one []uint32 (starts
-	// first, counts after), write flags live in a parallel []uint8. Chunk
-	// descriptors slice into the slab current at capture time; later slab
-	// growth never moves published data.
-	u32   []uint32
-	u8    []uint8
-	bytes int64
+	// wide selects uint32 run offsets, for footprints over narrowPages;
+	// limit is one past the largest offset a run may have (the footprint,
+	// capped at what the offset width holds).
+	wide  bool
+	limit uint64
+
+	// Arena columns. Chunk descriptors slice into the slabs current at
+	// capture time; later slab growth never moves published data.
+	off16  slab[uint16]
+	off32  slab[uint32]
+	writes slab[uint64]
+	counts slab[uint32]
+	bytes  int64
 }
 
 // NewTrace returns an empty trace for one sampler geometry. The first
 // SampleRun served through it adopts the consumer's RNG state and chunk
 // size.
 func NewTrace(g Geometry) *Trace {
-	return &Trace{geom: g, master: g.sampler()}
+	t := &Trace{geom: g, master: g.sampler(), wide: g.Pages > narrowPages}
+	if g.Pages > 0 {
+		t.limit = min(uint64(g.Pages), 1<<32)
+	}
+	return t
 }
 
 // Geom returns the geometry the trace records.
 func (t *Trace) Geom() Geometry { return t.geom }
 
-// Bytes reports the trace's approximate heap footprint: arena slab
-// capacity plus per-chunk descriptor overhead. Monotonically non-decreasing
-// as the trace extends.
+// Bytes reports the trace's heap footprint: arena slab capacity plus the
+// per-chunk descriptors. Monotonically non-decreasing as the trace extends.
 func (t *Trace) Bytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,31 +204,74 @@ func (t *Trace) Chunks() int {
 // captureBufPool recycles the scratch run buffers capture encodes from.
 var captureBufPool sync.Pool
 
-// reserve carves n uint32 pairs and n bytes out of the arena, growing it
-// slab-wise when exhausted. Caller holds t.mu.
-func (t *Trace) reserve(n int) (u32 []uint32, u8 []uint8) {
-	need32 := 2 * n
-	if cap(t.u32)-len(t.u32) < need32 {
-		size := arenaSlabElems
-		if size < need32 {
-			size = need32
+// encode stores runs as one chunk's columns in the arena. ok=false means
+// the layout cannot hold some run exactly — a start outside [Base,
+// Base+Pages), a non-zero stride, or a count that overflows 32 bits — and
+// nothing is carved in that case. Caller holds t.mu.
+func (t *Trace) encode(runs []kernel.AccessRun) (ch traceChunk, ok bool) {
+	base := t.geom.Base
+	ones := true
+	for i := range runs {
+		r := &runs[i]
+		if uint64(r.Start-base) >= t.limit || r.Stride != 0 || uint64(r.Count) > math.MaxUint32 {
+			return traceChunk{}, false
 		}
-		t.u32 = make([]uint32, 0, size)
-		t.bytes += int64(4 * size)
+		ones = ones && r.Count == 1
 	}
-	if cap(t.u8)-len(t.u8) < n {
-		size := arenaSlabElems
-		if size < n {
-			size = n
+	m := len(runs)
+	if t.wide {
+		ch.off32 = t.off32.carve(m, &t.bytes)
+		for i := range runs {
+			ch.off32[i] = uint32(runs[i].Start - base)
 		}
-		t.u8 = make([]uint8, 0, size)
-		t.bytes += int64(size)
+	} else {
+		ch.off16 = t.off16.carve(m, &t.bytes)
+		for i := range runs {
+			ch.off16[i] = uint16(runs[i].Start - base)
+		}
 	}
-	lo32 := len(t.u32)
-	t.u32 = t.u32[:lo32+need32]
-	lo8 := len(t.u8)
-	t.u8 = t.u8[:lo8+n]
-	return t.u32[lo32 : lo32+need32 : lo32+need32], t.u8[lo8 : lo8+n : lo8+n]
+	ch.writes = t.writes.carve((m+63)/64, &t.bytes)
+	for i := range runs {
+		if runs[i].Write {
+			ch.writes[i/64] |= 1 << (i % 64)
+		}
+	}
+	if !ones {
+		ch.counts = t.counts.carve(m, &t.bytes)
+		for i := range runs {
+			ch.counts[i] = uint32(runs[i].Count)
+		}
+	}
+	return ch, true
+}
+
+// decode appends the chunk's runs to buf, allocating only if buf lacks the
+// capacity.
+func (ch *traceChunk) decode(base vmm.VPN, buf []kernel.AccessRun) []kernel.AccessRun {
+	lo := len(buf)
+	m := len(ch.off16) + len(ch.off32)
+	buf = slices.Grow(buf, m)[:lo+m]
+	out := buf[lo:]
+	if ch.off32 == nil {
+		decodeRuns(out, base, ch.off16, ch.writes)
+	} else {
+		decodeRuns(out, base, ch.off32, ch.writes)
+	}
+	for i, c := range ch.counts {
+		out[i].Count = int(c)
+	}
+	return buf
+}
+
+// decodeRuns fills out, one run per offset, from a chunk's start offsets
+// and write bits, with every count 1.
+func decodeRuns[T uint16 | uint32](out []kernel.AccessRun, base vmm.VPN, offs []T, writes []uint64) {
+	out = out[:len(offs)]
+	for i, off := range offs {
+		// Unsigned indexing keeps the bit lookup to a shift and a mask.
+		bit := writes[uint(i)/64] >> (uint(i) % 64) & 1
+		out[i] = kernel.AccessRun{Start: base + vmm.VPN(off), Count: 1, Write: bit != 0}
+	}
 }
 
 // chunkFor returns chunk idx, capturing it first if it is one past the
@@ -225,39 +314,20 @@ func (t *Trace) chunkFor(idx, n int, r *sim.Rand) (ch traceChunk, hit, ok bool) 
 		buf = (*b)[:0]
 	}
 	runs := t.master.SampleRun(&t.rng, buf, n)
-	starts, writes := t.reserve(len(runs))
-	counts := starts[len(runs):]
-	starts = starts[:len(runs):len(runs)]
-	for i := range runs {
-		v := uint64(runs[i].Start)
-		if v >= 1<<32 || runs[i].Stride != 0 {
-			// Unencodable stream: disable the trace rather than serve a
-			// lossy record. Consumers fall back to live sampling.
-			t.broken = true
-			t.chunks = nil
-			runs = runs[:0]
-			captureBufPool.Put(&runs)
-			return traceChunk{}, false, false
-		}
-		starts[i] = uint32(v)
-		counts[i] = uint32(runs[i].Count)
-		if runs[i].Write {
-			writes[i] = 1
-		}
-	}
-	ch = traceChunk{
-		pre:    pre,
-		post:   t.rng.State(),
-		seqPos: t.master.seqPos,
-		seqCnt: t.master.seqCnt,
-		starts: starts,
-		counts: counts,
-		writes: writes,
-	}
-	t.chunks = append(t.chunks, ch)
-	t.bytes += traceChunkOverhead
+	ch, ok = t.encode(runs)
 	runs = runs[:0]
 	captureBufPool.Put(&runs)
+	if !ok {
+		// Unencodable stream: disable the trace rather than serve a lossy
+		// record. Consumers fall back to live sampling.
+		t.broken = true
+		t.chunks = nil
+		return traceChunk{}, false, false
+	}
+	ch.pre, ch.post = pre, t.rng.State()
+	ch.seqPos, ch.seqCnt = t.master.seqPos, t.master.seqCnt
+	t.chunks = append(t.chunks, ch)
+	t.bytes += traceChunkOverhead
 	return ch, false, true
 }
 
@@ -311,14 +381,7 @@ func (rs *ReplaySampler) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) [
 				rs.hits.Inc()
 				replayHits.Inc()
 			}
-			for i := range ch.starts {
-				buf = append(buf, kernel.AccessRun{
-					Start: vmm.VPN(ch.starts[i]),
-					Count: int(ch.counts[i]),
-					Write: ch.writes[i] != 0,
-				})
-			}
-			return buf
+			return ch.decode(rs.t.geom.Base, buf)
 		}
 		rs.liveMode = true
 	}

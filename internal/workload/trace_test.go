@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"hawkeye/internal/kernel"
+	"hawkeye/internal/mem"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/trace"
+	"hawkeye/internal/vmm"
 )
 
 // testGeometry is a graph500-shaped stream: hotspot with a write fraction,
@@ -36,42 +38,76 @@ func drainRuns(s kernel.RunSampler, r *sim.Rand, chunks, n int) [][]kernel.Acces
 // TestTraceReplayIdentity is the stream-identity contract in miniature:
 // a replayed consumer must see the exact runs a live sampler produces and
 // end with the exact RNG state live sampling would leave — the property that
-// makes replayed sweeps byte-identical to live ones.
+// makes replayed sweeps byte-identical to live ones. The cases walk the
+// edges of the trace layout: the uint16/uint32 offset-width switch, bases
+// far from zero, stored counts, all-read and all-write streams, and chunks
+// whose write bits end mid-word. None of them may drop to live.
 func TestTraceReplayIdentity(t *testing.T) {
-	g := testGeometry()
-	const chunks, n = 20, 512
+	hotspot := func(base vmm.VPN, pages mem.Pages) Geometry {
+		g := testGeometry()
+		g.Base, g.Pages = base, pages
+		return g
+	}
+	writes := func(frac float64) Geometry {
+		g := testGeometry()
+		g.WriteFrac = frac
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		geom Geometry
+		n    int // samples per chunk
+	}{
+		{"graph500-shaped", testGeometry(), 512},
+		{"pages-65536-uint16", hotspot(0x100000, 1<<16), 512},
+		{"pages-65537-uint32", hotspot(0x100000, 1<<16+1), 512},
+		{"base-zero", hotspot(0, 4096), 512},
+		{"base-above-2^32", hotspot(1<<40+3, 4096), 512},
+		{"sequential-counts", Geometry{Base: 0x200000, Pages: 4096, Kind: Sequential, AccessesPerPage: 8, WriteFrac: 0.2}, 512},
+		{"all-reads", writes(0), 512},
+		{"all-writes", writes(1), 512},
+		{"chunk-not-multiple-of-64", testGeometry(), 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.geom
+			const chunks = 20
 
-	// Live reference stream.
-	liveS := g.sampler()
-	liveR := sim.NewRand(7)
-	want := drainRuns(&liveS, liveR, chunks, n)
+			// Live reference stream.
+			liveS := g.sampler()
+			liveR := sim.NewRand(7)
+			want := drainRuns(&liveS, liveR, chunks, tc.n)
 
-	// First consumer captures (every chunkFor lands on the frontier: zero
-	// hits), second replays the record.
-	tr := NewTrace(g)
-	for pass := 0; pass < 2; pass++ {
-		rs := NewReplaySampler(tr, nil)
-		r := sim.NewRand(7)
-		got := drainRuns(rs, r, chunks, n)
-		if rs.Live() {
-			t.Fatalf("pass %d: replay sampler dropped to live fallback", pass)
-		}
-		if r.State() != liveR.State() {
-			t.Fatalf("pass %d: RNG end state diverged from live sampling", pass)
-		}
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("pass %d chunk %d: %d runs, want %d", pass, i, len(got[i]), len(want[i]))
+			// First consumer captures (every chunkFor lands on the
+			// frontier: zero hits), second replays the record.
+			tr := NewTrace(g)
+			if tr.wide != (g.Pages > 1<<16) {
+				t.Fatalf("%d pages: wide offsets = %v", g.Pages, tr.wide)
 			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("pass %d chunk %d run %d: got %+v want %+v", pass, i, j, got[i][j], want[i][j])
+			for pass := 0; pass < 2; pass++ {
+				rs := NewReplaySampler(tr, nil)
+				r := sim.NewRand(7)
+				got := drainRuns(rs, r, chunks, tc.n)
+				if rs.Live() {
+					t.Fatalf("pass %d: replay sampler dropped to live fallback", pass)
+				}
+				if r.State() != liveR.State() {
+					t.Fatalf("pass %d: RNG end state diverged from live sampling", pass)
+				}
+				for i := range want {
+					if len(got[i]) != len(want[i]) {
+						t.Fatalf("pass %d chunk %d: %d runs, want %d", pass, i, len(got[i]), len(want[i]))
+					}
+					for j := range want[i] {
+						if got[i][j] != want[i][j] {
+							t.Fatalf("pass %d chunk %d run %d: got %+v want %+v", pass, i, j, got[i][j], want[i][j])
+						}
+					}
 				}
 			}
-		}
-	}
-	if tr.Chunks() != chunks {
-		t.Fatalf("trace holds %d chunks, want %d", tr.Chunks(), chunks)
+			if tr.Chunks() != chunks {
+				t.Fatalf("trace holds %d chunks, want %d", tr.Chunks(), chunks)
+			}
+		})
 	}
 }
 
