@@ -24,8 +24,8 @@ var Analyzer = &analysis.Analyzer{
 
 // simulationPackages are the internal packages whose code runs inside (or
 // produces the inputs/outputs of) the deterministic simulation. The parallel
-// experiment runner (internal/runner) is excluded: it owns real wall-clock
-// timing and is the one sanctioned home for goroutines.
+// experiment runner, internal/runner and its subpackages, is excluded: it
+// owns real wall-clock timing and is the one sanctioned home for goroutines.
 var simulationPackages = map[string]bool{
 	"sim": true, "mem": true, "vmm": true, "tlb": true, "kernel": true,
 	"policy": true, "ksm": true, "experiments": true, "workload": true,
@@ -45,9 +45,10 @@ func covered(pkgPath string) bool {
 }
 
 // concurrencySanctioned reports whether pkgPath is allowed to start
-// goroutines: internal/runner (the parallel experiment pool) and
-// internal/introspect (the live debug server, whose HTTP handlers run on
-// net/http's goroutines and are pull-only by contract — they never write
+// goroutines: internal/runner and its subpackages (the worker pools, and
+// internal/runner/pool, the fan-out helper that simulation packages call)
+// and internal/introspect (the live debug server, whose HTTP handlers run
+// on net/http's goroutines and are pull-only by contract — they never write
 // simulation state).
 func concurrencySanctioned(pkgPath string) bool {
 	for _, p := range [...]string{"runner", "introspect"} {

@@ -134,6 +134,8 @@ type TraceEntry struct {
 	Label  string
 	Trace  *trace.Recorder
 	Series *sim.Recorder
+
+	base string // Label without its "#n" suffix, for merge
 }
 
 // NewTraceSet returns an empty collector.
@@ -146,7 +148,8 @@ func NewTraceSet() *TraceSet {
 
 // observe registers a traced machine (deduplicated by pointer). Labels are
 // the policy name; repeats within one run get a "#2", "#3", ... suffix in
-// machine-creation order.
+// machine-creation order — the order of a serial run, since fanOut merges
+// its jobs' private sets in job order.
 func (t *TraceSet) observe(k *kernel.Kernel) {
 	if t == nil || k == nil || k.Trace == nil {
 		return
@@ -157,15 +160,40 @@ func (t *TraceSet) observe(k *kernel.Kernel) {
 		return
 	}
 	t.seen[k] = struct{}{}
-	label := "machine"
-	if k.Policy != nil {
-		label = k.Policy.Name()
+	t.addLocked(TraceEntry{base: machineLabel(k), Trace: k.Trace, Series: k.Rec})
+}
+
+// addLocked appends e, numbering its label after the entries already held.
+// Caller holds t.mu.
+func (t *TraceSet) addLocked(e TraceEntry) {
+	t.counts[e.base]++
+	e.Label = e.base
+	if n := t.counts[e.base]; n > 1 {
+		e.Label = fmt.Sprintf("%s#%d", e.base, n)
 	}
-	t.counts[label]++
-	if n := t.counts[label]; n > 1 {
-		label = fmt.Sprintf("%s#%d", label, n)
+	t.entries = append(t.entries, e)
+}
+
+// merge appends src's entries in src's order, numbered as if their machines
+// had been observed here after the ones t already holds.
+func (t *TraceSet) merge(src *TraceSet) {
+	if t == nil {
+		return
 	}
-	t.entries = append(t.entries, TraceEntry{Label: label, Trace: k.Trace, Series: k.Rec})
+	entries := src.Entries()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range entries {
+		t.addLocked(e)
+	}
+}
+
+// machineLabel names a machine after its policy.
+func machineLabel(k *kernel.Kernel) string {
+	if k.Policy == nil {
+		return "machine"
+	}
+	return k.Policy.Name()
 }
 
 // Entries returns the collected recorders in machine-creation order.
@@ -189,11 +217,7 @@ func (o Options) observe(k *kernel.Kernel) {
 		o.Metrics.observe(k.Engine)
 	}
 	o.Traces.observe(k)
-	label := "machine"
-	if k.Policy != nil {
-		label = k.Policy.Name()
-	}
-	introspect.AttachMachine(label, k.Trace)
+	introspect.AttachMachine(machineLabel(k), k.Trace)
 }
 
 // WithDefaults returns the options with unset fields resolved to the
@@ -374,7 +398,9 @@ func newKernelFragmented(o Options, pol kernel.Policy, keep, pinned float64) *ke
 	return k
 }
 
-// runResult captures one workload's outcome.
+// runResult captures one workload's outcome. It holds plain values only, so
+// a machine is garbage once the caller drops the kernel runConcurrent
+// returns.
 type runResult struct {
 	Name       string
 	Runtime    sim.Time
@@ -383,14 +409,18 @@ type runResult struct {
 	HugeFaults int64
 	Promotions int64
 	OOM        bool
-	Proc       *kernel.Proc
+	HugeMapped mem.Regions // huge mappings when the run ended
 }
+
+// replays reports whether runConcurrent attaches its instances to the
+// process-wide access-trace cache under these options.
+func (o Options) replays() bool { return !o.Scalar && !o.NoTraceCache }
 
 // runConcurrent runs the given workload instances together under one policy
 // and collects results. fragmentKeep > 0 pre-fragments the machine.
 func runConcurrent(o Options, pol kernel.Policy, insts []*workload.Instance, names []string, fragmentKeep float64, deadline sim.Time) ([]runResult, *kernel.Kernel, error) {
 	k := newKernelFragmented(o, pol, fragmentKeep, kernel.DefaultPinnedChunkFrac)
-	if !o.Scalar && !o.NoTraceCache {
+	if o.replays() {
 		// Swap each instance's steady phase onto the shared recorded trace.
 		// The key pins everything its stream depends on: the machine
 		// configuration (seed, quantum sampling), the fragmentation warm-up
@@ -428,7 +458,7 @@ func runConcurrent(o Options, pol kernel.Policy, insts []*workload.Instance, nam
 			HugeFaults: p.Acct.HugeFaults,
 			Promotions: p.VP.Stats.Promotions,
 			OOM:        p.OOMKilled,
-			Proc:       p,
+			HugeMapped: p.VP.HugeMapped(),
 		}
 	}
 	return out, k, nil

@@ -42,21 +42,26 @@ func Fig10(o Options) (*Table, error) {
 		Title:  "Worst-case overhead of async pre-zeroing at 1 GB/s, temporal vs non-temporal stores",
 		Header: []string{"workload", "baseline", "temporal", "overhead", "non-temporal", "overhead"},
 	}
-	for _, w := range fig10Workloads {
+	// Three runs per victim: no pre-zeroing, then temporal and non-temporal
+	// stores at 0.25 M pages/s.
+	runs, err := fanOut(o, 3*len(fig10Workloads), func(o Options, i int) (sim.Time, error) {
+		w := fig10Workloads[i/3]
 		spec := workload.Lookup(w.spec)
 		spec.WorkSeconds = o.work(30)
-		base, err := fig10Run(o, spec, 0, 1)
-		if err != nil {
-			return nil, err
+		switch i % 3 {
+		case 0:
+			return fig10Run(o, spec, 0, 1)
+		case 1:
+			return fig10Run(o, spec, 250000, w.temporal)
+		default:
+			return fig10Run(o, spec, 250000, w.nonTemporal)
 		}
-		temporal, err := fig10Run(o, spec, 250000, w.temporal)
-		if err != nil {
-			return nil, err
-		}
-		nontemp, err := fig10Run(o, spec, 250000, w.nonTemporal)
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for wi, w := range fig10Workloads {
+		base, temporal, nontemp := runs[3*wi], runs[3*wi+1], runs[3*wi+2]
 		t.Add(w.name,
 			base,
 			temporal, pct(temporal.Seconds()/base.Seconds()-1),

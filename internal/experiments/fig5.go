@@ -66,22 +66,30 @@ const fragKeep = 0.15
 // paper introduces).
 func Fig5(o Options) (*Table, error) {
 	names := []string{"graph500", "xsbench", "cg.D"}
+	pols := recoveryPolicies(o)
+	runs, err := fanOutReplay(o, len(names)*len(pols), func(o Options, i int) (runResult, error) {
+		name := names[i/len(pols)]
+		spec := workload.Lookup(name)
+		spec.WorkSeconds = o.work(spec.WorkSeconds)
+		inst := workload.New(spec, o.Scale)
+		res, _, err := runConcurrent(o, pols[i%len(pols)].make(), []*workload.Instance{inst}, []string{name}, fragKeep, 0)
+		if err != nil {
+			return runResult{}, err
+		}
+		return res[0], nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "fig5",
 		Title:  "Speedup and execution time saved per promotion, fragmented machine",
 		Header: []string{"workload", "policy", "runtime", "speedup-vs-4k", "promotions", "sec-saved/promo"},
 	}
-	for _, name := range names {
-		spec := workload.Lookup(name)
-		spec.WorkSeconds = o.work(spec.WorkSeconds)
+	for ni, name := range names {
 		var baseline sim.Time
-		for _, pc := range recoveryPolicies(o) {
-			inst := workload.New(spec, o.Scale)
-			res, _, err := runConcurrent(o, pc.make(), []*workload.Instance{inst}, []string{name}, fragKeep, 0)
-			if err != nil {
-				return nil, err
-			}
-			r := res[0]
+		for pi, pc := range pols {
+			r := runs[ni*len(pols)+pi]
 			if pc.name == "linux-4k" {
 				baseline = r.Runtime
 			}
@@ -133,7 +141,7 @@ func Fig6(o Options) (*Table, error) {
 			for _, at := range sampleAt {
 				row = append(row, pct(series.At(at)))
 			}
-			row = append(row, res[0].Proc.VP.HugeMapped())
+			row = append(row, res[0].HugeMapped)
 			t.Add(row...)
 		}
 	}
@@ -153,21 +161,27 @@ func Table5(o Options) (*Table, error) {
 		Title:  "Three identical instances on a fragmented machine",
 		Header: []string{"workload", "policy", "t1", "t2", "t3", "avg", "spread", "speedup-vs-4k"},
 	}
-	for _, name := range names {
+	pols := recoveryPolicies(o)
+	runs, err := fanOutReplay(o, len(names)*len(pols), func(o Options, i int) ([]runResult, error) {
+		name := names[i/len(pols)]
 		spec := workload.Lookup(name)
 		spec.WorkSeconds = o.work(spec.WorkSeconds / 2)
+		insts := []*workload.Instance{}
+		labels := []string{}
+		for j := 1; j <= 3; j++ {
+			insts = append(insts, workload.New(spec, o.Scale))
+			labels = append(labels, fmt.Sprintf("%s-%d", name, j))
+		}
+		res, _, err := runConcurrent(o, pols[i%len(pols)].make(), insts, labels, fragKeep, 0)
+		return res, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ni, name := range names {
 		var baselineAvg sim.Time
-		for _, pc := range recoveryPolicies(o) {
-			insts := []*workload.Instance{}
-			labels := []string{}
-			for i := 1; i <= 3; i++ {
-				insts = append(insts, workload.New(spec, o.Scale))
-				labels = append(labels, fmt.Sprintf("%s-%d", name, i))
-			}
-			res, _, err := runConcurrent(o, pc.make(), insts, labels, fragKeep, 0)
-			if err != nil {
-				return nil, err
-			}
+		for pi, pc := range pols {
+			res := runs[ni*len(pols)+pi]
 			var sum, min, max sim.Time
 			for i, r := range res {
 				sum += r.Runtime

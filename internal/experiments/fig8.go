@@ -21,49 +21,49 @@ func init() { register("fig8", Fig8) }
 // overhead and is order-agnostic.
 func Fig8(o Options) (*Table, error) {
 	sensitives := []string{"cg.D", "graph500", "xsbench"}
+	pols := recoveryPolicies(o)
+	orders := []bool{true, false} // app launched before redis, then after
+	runs, err := fanOut(o, len(sensitives)*len(pols)*len(orders), func(o Options, i int) (heteroRun, error) {
+		spec := workload.Lookup(sensitives[i/(len(pols)*len(orders))])
+		spec.WorkSeconds = o.work(spec.WorkSeconds / 2)
+		return runHeterogeneous(o, pols[i/len(orders)%len(pols)].make(), spec, orders[i%len(orders)])
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "fig8",
 		Title:  "TLB-sensitive app alongside lightly-loaded Redis, both launch orders",
 		Header: []string{"workload", "policy", "speedup(before)", "speedup(after)", "redis-huge(before)", "app-huge(before)"},
 	}
-	for _, name := range sensitives {
-		spec := workload.Lookup(name)
-		spec.WorkSeconds = o.work(spec.WorkSeconds / 2)
-		baselines := map[bool]sim.Time{}
-		type row struct {
-			policy             string
-			speed              map[bool]string
-			redisHuge, appHuge mem.Regions
-		}
-		var rows []row
-		for _, pc := range recoveryPolicies(o) {
-			r := row{policy: pc.name, speed: map[bool]string{}}
-			for _, appFirst := range []bool{true, false} {
-				rt, redisHuge, appHuge, err := runHeterogeneous(o, pc.make(), spec, appFirst)
-				if err != nil {
-					return nil, err
-				}
+	for si, name := range sensitives {
+		var baselines [2]sim.Time
+		for pi, pc := range pols {
+			var speed [2]string
+			for oi := range orders {
+				r := runs[(si*len(pols)+pi)*len(orders)+oi]
 				if pc.name == "linux-4k" {
-					baselines[appFirst] = rt
+					baselines[oi] = r.runtime
 				}
-				r.speed[appFirst] = speedup(baselines[appFirst], rt)
-				if appFirst {
-					r.redisHuge, r.appHuge = redisHuge, appHuge
-				}
+				speed[oi] = speedup(baselines[oi], r.runtime)
 			}
-			rows = append(rows, r)
-		}
-		for _, r := range rows {
-			t.Add(name, r.policy, r.speed[true], r.speed[false], r.redisHuge, r.appHuge)
+			before := runs[(si*len(pols)+pi)*len(orders)]
+			t.Add(name, pc.name, speed[0], speed[1], before.redisHuge, before.appHuge)
 		}
 	}
 	t.Note("paper: HawkEye gains 15–60%% over base pages regardless of order; Linux depends on order; Ingens promotes mostly Redis.")
 	return t, nil
 }
 
-// runHeterogeneous runs one (sensitive app, redis-light) pair and returns
-// the app's runtime and both processes' huge mappings.
-func runHeterogeneous(o Options, pol kernel.Policy, spec workload.Spec, appFirst bool) (sim.Time, mem.Regions, mem.Regions, error) {
+// heteroRun is the outcome of one (sensitive app, redis-light) pair: the
+// app's runtime and both processes' huge mappings when the run ended.
+type heteroRun struct {
+	runtime            sim.Time
+	redisHuge, appHuge mem.Regions
+}
+
+// runHeterogeneous runs one (sensitive app, redis-light) pair.
+func runHeterogeneous(o Options, pol kernel.Policy, spec workload.Spec, appFirst bool) (heteroRun, error) {
 	k := newKernelFragmented(o, pol, fragKeep, kernel.DefaultPinnedChunkFrac)
 	redisSpec := workload.Lookup("redis-light")
 	redisInst := workload.New(redisSpec, o.Scale)
@@ -87,10 +87,10 @@ func runHeterogeneous(o Options, pol kernel.Policy, spec workload.Spec, appFirst
 		return true, nil
 	})
 	if err := k.Run(4 * sim.Time(spec.WorkSeconds*float64(sim.Second))); err != nil {
-		return 0, 0, 0, err
+		return heteroRun{}, err
 	}
 	if !app.Done {
-		return 0, 0, 0, fmt.Errorf("fig8: %s did not finish under %s", spec.Name, pol.Name())
+		return heteroRun{}, fmt.Errorf("fig8: %s did not finish under %s", spec.Name, pol.Name())
 	}
-	return app.Runtime(k.Now()), redis.VP.HugeMapped(), app.VP.HugeMapped(), nil
+	return heteroRun{app.Runtime(k.Now()), redis.VP.HugeMapped(), app.VP.HugeMapped()}, nil
 }

@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"hawkeye/internal/experiments"
+	"hawkeye/internal/runner/pool"
 )
 
 // Result is the outcome of one experiment run.
@@ -64,29 +64,10 @@ func Run(ids []string, opts experiments.Options, workers int) []Result {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	results := make([]Result, len(ids))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runOne(ids[i], opts)
-			}
-		}()
-	}
-	for i := range ids {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	pool.Run(len(ids), workers, func(i int) {
+		results[i] = runOne(ids[i], opts)
+	})
 	return results
 }
 

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,11 +15,13 @@ func testOpts() experiments.Options {
 }
 
 // TestParallelMatchesSerial runs three representative experiments (a
-// native multi-process recovery figure, an NPB results table, and a
-// virtualized figure) serially and via the worker pool with the same seed,
-// and requires the rendered tables to be byte-identical. A small policy
-// sweep is held to the same contract: RunSweep on one worker and on four
-// must emit byte-identical CSV.
+// native recovery figure whose machines fan out, an NPB results table, and
+// a virtualized figure) serially and via the worker pool with the same
+// seed, and requires the rendered tables to be byte-identical. The serial
+// reference runs at GOMAXPROCS 1, where every fan-out runs inline; on a
+// host with more CPUs than workers, fig5's machines also run side by side
+// in the pooled run. A small policy sweep is held to the same contract:
+// RunSweep on one worker and on four must emit byte-identical CSV.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation; skipped in -short")
@@ -27,13 +30,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	opts := testOpts()
 
 	serial := make([]string, len(ids))
-	for i, id := range ids {
-		tab, err := experiments.Run(id, opts)
-		if err != nil {
-			t.Fatalf("serial %s: %v", id, err)
+	withProcs(1, func() {
+		for i, id := range ids {
+			tab, err := experiments.Run(id, opts)
+			if err != nil {
+				t.Fatalf("serial %s: %v", id, err)
+			}
+			serial[i] = tab.String()
 		}
-		serial[i] = tab.String()
-	}
+	})
 
 	results := Run(ids, opts, len(ids))
 	for i, res := range results {
@@ -78,6 +83,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("sweep row carries an error: %s", line)
 		}
 	}
+}
+
+// withProcs runs f at GOMAXPROCS procs and hands the caller's value back.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
 }
 
 // TestRunReportsMetrics checks the per-experiment counters the JSON report

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hawkeye/internal/experiments"
+	"hawkeye/internal/runner/pool"
 )
 
 // SweepReport is the JSON document hawkeye-bench -sweep -json emits: one row
@@ -65,41 +66,28 @@ func RunSweepProgress(spec experiments.SweepSpec, opts experiments.Options, work
 		workers = 1
 	}
 	rows := make([]experiments.SweepRow, len(cells))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var pmu sync.Mutex
 	done := 0
 	start := time.Now()
 	latStart := sweepCellLatency.Snapshot()
 	sweepCellsTotal.Store(int64(len(cells)))
 	sweepQueueDepth.Store(int64(len(cells)))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sweepQueueDepth.Add(-1)
-				sweepWorkersBusy.Add(1)
-				cellStart := time.Now()
-				rows[i] = experiments.RunSweepCell(opts, spec, cells[i])
-				sweepCellLatency.Observe(time.Since(cellStart))
-				sweepWorkersBusy.Add(-1)
-				sweepCellsDone.Inc()
-				pmu.Lock()
-				done++
-				publishSweepProgress(done, len(cells), workers, start)
-				if progress != nil {
-					progress(done, len(cells))
-				}
-				pmu.Unlock()
-			}
-		}()
-	}
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	pool.Run(len(cells), workers, func(i int) {
+		sweepQueueDepth.Add(-1)
+		sweepWorkersBusy.Add(1)
+		cellStart := time.Now()
+		rows[i] = experiments.RunSweepCell(opts, spec, cells[i])
+		sweepCellLatency.Observe(time.Since(cellStart))
+		sweepWorkersBusy.Add(-1)
+		sweepCellsDone.Inc()
+		pmu.Lock()
+		done++
+		publishSweepProgress(done, len(cells), workers, start)
+		if progress != nil {
+			progress(done, len(cells))
+		}
+		pmu.Unlock()
+	})
 	return &SweepReport{
 		Schema:           "hawkeye-sweep/v1",
 		Workload:         spec.Workload,

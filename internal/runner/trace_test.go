@@ -2,12 +2,14 @@ package runner
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/trace"
+	"hawkeye/internal/workload"
 )
 
 // traceOpts enables tracing (with sampling) on top of the fast test options.
@@ -105,10 +107,33 @@ func TestTraceDeterminism(t *testing.T) {
 
 // TestTraceChromeExport runs a quick fig5 and schema-validates the Chrome
 // trace_event JSON of every traced machine: required fields present, ts
-// monotone per track, at least one named process track.
+// monotone per track, at least one named process track. The same run at
+// GOMAXPROCS 1 (every machine inline) and at 4 must export the same labels,
+// JSONL and vmstat byte for byte.
 func TestTraceChromeExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation; skipped in -short")
+	}
+	if !raceEnabled {
+		// The comparison is about output equality, which race
+		// instrumentation cannot affect; under -race the machines two more
+		// traced fig5 runs keep alive (the vmstat gauges read them) stall an
+		// 8 GB host. Each run starts from an empty trace cache: a machine's
+		// trace_replay_hits counts the chunks earlier machines recorded.
+		defer workload.ResetTraceCache()
+		digest := func(procs int) [sha256.Size]byte {
+			workload.ResetTraceCache()
+			var res Result
+			withProcs(procs, func() { res = Run([]string{"fig5"}, traceOpts(), 1)[0] })
+			if res.Error != "" {
+				t.Fatalf("fig5 at GOMAXPROCS %d: %s", procs, res.Error)
+			}
+			j, v := exportAll(t, res)
+			return sha256.Sum256([]byte(j + v))
+		}
+		if digest(1) != digest(4) {
+			t.Error("fig5: labels, JSONL or vmstat differ between GOMAXPROCS 1 and 4")
+		}
 	}
 	res := Run([]string{"fig5"}, traceOpts(), 1)[0]
 	if res.Error != "" {

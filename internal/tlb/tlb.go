@@ -321,6 +321,15 @@ type TLB struct {
 	L2Hits  int64
 	Misses  int64
 
+	// fills counts the accesses that installed an entry (an L2 hit refills
+	// L1, a miss fills both levels); nothing else adds entries. flushed
+	// remembers the last full process flush: a repeat flush of flushPID
+	// with no fill since (fills == flushFills) has nothing left to remove.
+	fills      uint64
+	flushed    bool
+	flushPID   int32
+	flushFills uint64
+
 	// Tracing hooks (nil when disabled). Only the invalidation paths emit;
 	// Access/AccessRun — the translation hot path — stay untouched.
 	tr           *trace.Recorder
@@ -362,7 +371,8 @@ func (s *setAssoc) clone() *setAssoc {
 // ticks and the hit/miss counters. Future accesses on the clone hit, miss and
 // evict exactly as they would have on the original; mutating either side
 // never affects the other. Tracing hooks are not carried over — the new
-// machine re-attaches them with SetTrace.
+// machine re-attaches them with SetTrace — and neither is the last-flush
+// memory, so the clone's first process flush always scans.
 func (t *TLB) Clone() *TLB {
 	return &TLB{
 		cfg:     t.cfg,
@@ -394,6 +404,7 @@ func (t *TLB) Access(pid int32, page int64, huge bool) Outcome {
 		return HitL1
 	}
 	l2Hit, l2Victim := t.l2.probe(key, page)
+	t.fills++
 	if l2Hit {
 		t.L2Hits++
 		l1.fill(l1Victim, key, page)
@@ -442,10 +453,16 @@ func (t *TLB) MissRate() float64 {
 const PagesPerRegion = int64(mem.HugePages)
 
 // InvalidateProcess flushes every entry of a process (exit, large unmap).
+// A repeat flush of the same process with no fill in between finds nothing
+// to remove, so it skips the scans; it still counts and traces as a
+// shootdown.
 func (t *TLB) InvalidateProcess(pid int32) {
-	t.l1Base.invalidatePID(pid)
-	t.l1Huge.invalidatePID(pid)
-	t.l2.invalidatePID(pid)
+	if !t.flushed || t.flushPID != pid || t.flushFills != t.fills {
+		t.l1Base.invalidatePID(pid)
+		t.l1Huge.invalidatePID(pid)
+		t.l2.invalidatePID(pid)
+		t.flushed, t.flushPID, t.flushFills = true, pid, t.fills
+	}
 	t.ctrShootdown.Inc()
 	t.tr.TLBShootdown(pid, -1)
 }

@@ -1,9 +1,11 @@
 package tlb
 
 import (
+	"slices"
 	"testing"
 
 	"hawkeye/internal/sim"
+	"hawkeye/internal/trace"
 )
 
 func TestSmallWorkingSetHitsL1(t *testing.T) {
@@ -105,6 +107,84 @@ func TestInvalidateProcess(t *testing.T) {
 	tl.Access(2, 9, false)
 	if tl.Misses != 1 {
 		t.Fatalf("misses = %d, want 1", tl.Misses)
+	}
+}
+
+// TestInvalidateProcessRepeat holds the repeat-flush shortcut to exactness:
+// each step runs on the TLB under test and on a reference whose every flush
+// scans, and after each step the two must hold the same entries, LRU stamps
+// and counters. Each case then checks what its sequence is about.
+func TestInvalidateProcessRepeat(t *testing.T) {
+	type step struct {
+		flush bool // InvalidateProcess(pid) instead of Access(pid, page)
+		pid   int32
+		page  int64
+	}
+	access := func(pid int32, page int64) step { return step{pid: pid, page: page} }
+	flush := func(pid int32) step { return step{flush: true, pid: pid} }
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		// check runs on the TLB under test after the steps.
+		check func(t *testing.T, tl *TLB, shootdowns int64)
+	}{
+		{
+			name:  "repeat flush without fill",
+			steps: []step{access(1, 7), access(1, 8), access(2, 9), flush(1), flush(1)},
+			check: func(t *testing.T, tl *TLB, shootdowns int64) {
+				if shootdowns != 2 {
+					t.Errorf("tlb_shootdown = %d, want 2", shootdowns)
+				}
+				if !tl.l2.lookup(2, 9, false) {
+					t.Error("pid 2's entry was flushed")
+				}
+			},
+		},
+		{
+			name:  "fill between flushes",
+			steps: []step{access(1, 7), flush(1), access(1, 7), flush(1)},
+			check: func(t *testing.T, tl *TLB, _ int64) {
+				if tl.Access(1, 7, false) != Miss {
+					t.Error("the entry refilled after the first flush survived the second")
+				}
+			},
+		},
+		{
+			name:  "other pid between flushes",
+			steps: []step{access(1, 7), flush(2), flush(1)},
+			check: func(t *testing.T, tl *TLB, _ int64) {
+				if tl.Access(1, 7, false) != Miss {
+					t.Error("flushing pid 1 after a flush of pid 2 kept pid 1's entry")
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl, ref := New(HaswellEP()), New(HaswellEP())
+			rec := trace.NewRecorder(&sim.Clock{}, trace.Config{})
+			tl.SetTrace(rec)
+			for i, s := range tc.steps {
+				if s.flush {
+					tl.InvalidateProcess(s.pid)
+					ref.flushed = false
+					ref.InvalidateProcess(s.pid)
+				} else {
+					tl.Access(s.pid, s.page, false)
+					ref.Access(s.pid, s.page, false)
+				}
+				for _, lv := range []struct{ got, want *setAssoc }{
+					{tl.l1Base, ref.l1Base}, {tl.l1Huge, ref.l1Huge}, {tl.l2, ref.l2},
+				} {
+					if !slices.Equal(lv.got.keys, lv.want.keys) || !slices.Equal(lv.got.lrus, lv.want.lrus) || lv.got.tick != lv.want.tick {
+						t.Fatalf("step %d: TLB state differs from the always-scanning reference", i)
+					}
+				}
+				if tl.Lookups != ref.Lookups || tl.L1Hits != ref.L1Hits || tl.L2Hits != ref.L2Hits || tl.Misses != ref.Misses {
+					t.Fatalf("step %d: counters differ from the reference", i)
+				}
+			}
+			tc.check(t, tl, rec.Counter("tlb_shootdown").Value())
+		})
 	}
 }
 

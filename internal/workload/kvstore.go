@@ -190,7 +190,7 @@ func (kv *KVStore) runDelete(k *kernel.Kernel, p *kernel.Proc, op KVDelete) (sim
 	kv.deleted = true
 	n := int(float64(len(kv.keys)) * op.Frac)
 	var consumed sim.Time
-	kill := make(map[int]bool, n)
+	kill := make([]bool, len(kv.keys))
 	cluster := op.Cluster
 	if cluster < 1 {
 		cluster = 1
@@ -202,10 +202,15 @@ func (kv *KVStore) runDelete(k *kernel.Kernel, p *kernel.Proc, op KVDelete) (sim
 		}
 	} else {
 		// Clustered deletion: random runs of `cluster` consecutive keys.
-		for len(kill) < n && len(kv.keys) > 0 {
+		// killed counts distinct keys, as the loop bounds require.
+		killed := 0
+		for killed < n && len(kv.keys) > 0 {
 			start := p.Rand().Intn(len(kv.keys))
-			for j := start; j < start+cluster && j < len(kv.keys) && len(kill) < n; j++ {
-				kill[j] = true
+			for j := start; j < start+cluster && j < len(kv.keys) && killed < n; j++ {
+				if !kill[j] {
+					kill[j] = true
+					killed++
+				}
 			}
 		}
 	}
