@@ -176,7 +176,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a runtime execution trace of the experiment runs to this path")
 	traceDir := flag.String("trace-events", "", "write per-machine simulation traces (JSONL, vmstat, Chrome JSON) into this directory")
 	traceSample := flag.Float64("trace-sample", 0, "sample vmstat counters every this many simulated seconds into per-machine CSVs (needs -trace-events)")
-	noSnapCache := flag.Bool("no-snapshot-cache", false, "build and fragment every machine from scratch instead of forking cached warm-up snapshots, and make any remaining cache forks deep copies (output is byte-identical either way)")
+	noSnapCache := flag.Bool("no-snapshot-cache", false, "build and fragment every machine from scratch instead of forking cached warm-up snapshots (output is byte-identical either way)")
 	snapCacheBytes := flag.Int64("snapshot-cache-bytes", 0, "cap the warm-up snapshot cache's resident bytes, evicting least-recently-forked images (0 = unlimited)")
 	noTraceCache := flag.Bool("no-trace-cache", false, "sample every steady phase live instead of replaying the process-wide recorded access trace (output is byte-identical either way)")
 	traceCacheBytes := flag.Int64("trace-cache-bytes", 0, "cap the access-trace cache's resident bytes, evicting least-recently-attached traces (0 = unlimited)")
@@ -198,17 +198,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Cache knobs apply process-wide, before any machine is built. The
-	// bypass flag is the one-flag escape hatch to pre-COW semantics: fresh
-	// builds where the harness allows, deep forks anywhere it still forks.
-	if *noSnapCache {
-		snapshot.SetDeepForks(true)
-	}
+	// Cache budgets apply process-wide, before any machine is built.
 	if *snapCacheBytes > 0 {
-		snapshot.SetCacheBudget(*snapCacheBytes)
+		snapshot.Cache.SetBudget(*snapCacheBytes)
 	}
 	if *traceCacheBytes > 0 {
-		workload.SetTraceCacheBudget(*traceCacheBytes)
+		workload.TraceCache.SetBudget(*traceCacheBytes)
 	}
 
 	if *list {

@@ -21,6 +21,39 @@ import (
 	"hawkeye/internal/mem"
 )
 
+// numericFlags are the numeric flag values checkFlags validates.
+type numericFlags struct {
+	scale, memGB, swapGB, fragment, deadline, traceSample float64
+}
+
+// checkFlags returns an error naming the first numeric flag whose value
+// describes no machine or run, or nil if every value is usable. Without it
+// a bad value runs something else silently — NewSim reads a memory size of
+// 0 or less as "use the default" and a NaN or negative keep as "no
+// fragmentation", and a NaN or negative deadline runs to completion — or
+// panics deep in the substrate, as a NaN or negative swap size does.
+func checkFlags(f numericFlags) error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, c := range []struct {
+		name string
+		v    float64
+		ok   bool
+		rule string
+	}{
+		{"scale", f.scale, finite(f.scale) && f.scale > 0, "finite and greater than 0"},
+		{"mem", f.memGB, finite(f.memGB) && f.memGB > 0, "finite and greater than 0"},
+		{"swap", f.swapGB, finite(f.swapGB) && f.swapGB >= 0, "finite and non-negative"},
+		{"fragment", f.fragment, f.fragment >= 0 && f.fragment <= 1, "within [0, 1]"},
+		{"deadline", f.deadline, finite(f.deadline) && f.deadline >= 0, "finite and non-negative"},
+		{"trace-sample", f.traceSample, finite(f.traceSample) && f.traceSample >= 0, "finite and non-negative"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("-%s must be %s, got %v", c.name, c.rule, c.v)
+		}
+	}
+	return nil
+}
+
 func main() {
 	policyName := flag.String("policy", "hawkeye-g", "huge-page policy (see -list)")
 	memGB := flag.Float64("mem", 8, "machine memory in GiB")
@@ -40,11 +73,11 @@ func main() {
 	list := flag.Bool("list", false, "list policies and workloads, then exit")
 	flag.Parse()
 
-	// NewSim treats a non-positive scale as "use the default", and a NaN or
-	// infinite one sizes workloads from garbage, so reject all three before
-	// the machine is built.
-	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "-scale must be finite and greater than 0, got %v\n", *scale)
+	if err := checkFlags(numericFlags{
+		scale: *scale, memGB: *memGB, swapGB: *swapGB, fragment: *fragment,
+		deadline: *deadline, traceSample: *traceSample,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -30,7 +30,7 @@ var simulationPackages = map[string]bool{
 	"sim": true, "mem": true, "vmm": true, "tlb": true, "kernel": true,
 	"policy": true, "ksm": true, "experiments": true, "workload": true,
 	"core": true, "virt": true, "content": true, "fault": true, "metrics": true,
-	"trace": true, "snapshot": true,
+	"trace": true, "snapshot": true, "cache": true,
 }
 
 const internalPrefix = "hawkeye/internal/"

@@ -68,22 +68,6 @@ func NewStore(totalFrames int64, rng *sim.Rand) *Store {
 	}
 }
 
-// Clone returns a deep copy of the store at its current state, including the
-// generator's exact stream position (so a clone draws the same future
-// first-non-zero offsets and hashes the original would). The precomputed
-// geometric table is shared — it is immutable once built and fully determined
-// by (geoMean, PageSize), so sharing it is safe and skips a rebuild.
-func (s *Store) Clone() *Store {
-	return &Store{
-		hashes:           s.hashes.DeepClone(),
-		fnz:              s.fnz.DeepClone(),
-		rng:              s.rng.Clone(),
-		MeanFirstNonZero: s.MeanFirstNonZero,
-		geo:              s.geo,
-		geoMean:          s.geoMean,
-	}
-}
-
 // Seal freezes the signature tables so the store can be forked; the store
 // itself stays fully usable, paying chunk copy-on-write for later writes.
 func (s *Store) Seal() {
@@ -93,69 +77,15 @@ func (s *Store) Seal() {
 
 // Fork returns a copy-on-write copy of a sealed store: both signature
 // tables share every chunk with s until one side writes it. The generator
-// is cloned at its exact stream position, as in Clone.
+// is cloned at its exact stream position, so the fork draws the same future
+// first-non-zero offsets and hashes the original would. The precomputed
+// geometric table is shared — it is immutable once built and fully
+// determined by (geoMean, PageSize), so sharing it is safe and skips a
+// rebuild.
 func (s *Store) Fork() *Store {
 	return &Store{
 		hashes:           s.hashes.Fork(),
 		fnz:              s.fnz.Fork(),
-		rng:              s.rng.Clone(),
-		MeanFirstNonZero: s.MeanFirstNonZero,
-		geo:              s.geo,
-		geoMean:          s.geoMean,
-	}
-}
-
-// Pristine reports whether no page content was ever recorded: every hash
-// and first-non-zero offset is still zero, as on a freshly built machine.
-// Machine warm-ups that never run application writes (build + fragment)
-// leave the store pristine; the snapshot layer checks once and then deep
-// forks with CloneFresh. Chunks never written still alias the zero
-// background and are skipped wholesale.
-func (s *Store) Pristine() bool {
-	for ci := 0; ci < s.hashes.ChunkCount(); ci++ {
-		if !s.hashes.ChunkResident(ci) {
-			continue
-		}
-		lo, hi := chunkRange(ci, s.hashes.Len())
-		for i := lo; i < hi; i++ {
-			if s.hashes.Get(i) != ZeroHash {
-				return false
-			}
-		}
-	}
-	for ci := 0; ci < s.fnz.ChunkCount(); ci++ {
-		if !s.fnz.ChunkResident(ci) {
-			continue
-		}
-		lo, hi := chunkRange(ci, s.fnz.Len())
-		for i := lo; i < hi; i++ {
-			if s.fnz.Get(i) != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// chunkRange returns the [lo, hi) element range of chunk ci in a table of
-// n elements.
-func chunkRange(ci, n int) (lo, hi int) {
-	lo = ci * cow.ChunkElems
-	hi = lo + cow.ChunkElems
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// CloneFresh is Clone for a store Pristine reports true for: the per-frame
-// tables are rebuilt empty (all chunks background) instead of copied. The
-// caller is responsible for the pristineness check — on a pristine store
-// the result is indistinguishable from Clone's.
-func (s *Store) CloneFresh() *Store {
-	return &Store{
-		hashes:           cow.NewTable[uint64](s.hashes.Len(), ZeroHash),
-		fnz:              cow.NewTable[uint16](s.fnz.Len(), 0),
 		rng:              s.rng.Clone(),
 		MeanFirstNonZero: s.MeanFirstNonZero,
 		geo:              s.geo,

@@ -381,8 +381,9 @@ func newKernel(o Options, pol kernel.Policy) *kernel.Kernel {
 // result — bit-identical to fresh construction, minus the repeated warm-up.
 //
 // Unfragmented machines (keep <= 0) are always built directly: there is no
-// warm-up to amortize, and deep-copying a full-size machine image costs more
-// than constructing a fresh, mostly-empty one.
+// warm-up to amortize, and lazy copy-on-write tables already make a fresh
+// build O(#chunks), the same order as a fork. Options.NoSnapshotCache builds
+// every machine directly — the reference path forks are checked against.
 func newKernelFragmented(o Options, pol kernel.Policy, keep, pinned float64) *kernel.Kernel {
 	cfg := o.kernelConfig()
 	var k *kernel.Kernel

@@ -62,9 +62,10 @@ func (s SweepSpec) Cells(baseSeed uint64) []SweepCell {
 
 // Validate rejects grids that would fail mid-run or mean nothing: unknown
 // workload or policy names, empty axes, thresholds that are NaN, infinite
-// or negative (no policy knob has a meaning for them), and a FragKeep
-// outside [0, 1] (a share of memory; the caches key on it, so a NaN keep
-// would build and leak one machine and one trace per cell).
+// or negative (no policy knob has a meaning for them) or outside a
+// policy's own range (sweepPolicy), and a FragKeep outside [0, 1] (a share
+// of memory; the caches key on it, so a NaN keep would build and leak one
+// machine and one trace per cell).
 func (s SweepSpec) Validate() error {
 	if _, ok := workload.Catalog()[s.Workload]; !ok {
 		names := make([]string, 0)
@@ -87,8 +88,10 @@ func (s SweepSpec) Validate() error {
 		return fmt.Errorf("sweep: keep %v must be within [0, 1]", s.FragKeep)
 	}
 	for _, name := range s.Policies {
-		if _, err := sweepPolicy(name, 0.5, false); err != nil {
-			return err
+		for _, th := range s.Thresholds {
+			if _, err := sweepPolicy(name, th, false); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -124,7 +127,8 @@ func SweepPolicies() []string {
 //
 //   - linux-4k: no promotion; threshold ignored (baseline row).
 //   - linux: khugepaged scan rate, regions/second.
-//   - ingens: utilization bar in [0,1] (the paper's 90% knob).
+//   - ingens: utilization bar in [0,1] (the paper's 90% knob); a larger
+//     value could never promote, so it is an error.
 //   - hawkeye-pmu, hawkeye-g: access-coverage based promotion rate,
 //     regions/second.
 //
@@ -144,6 +148,9 @@ func sweepPolicy(name string, threshold float64, quick bool) (kernel.Policy, err
 		p.ScanRate = threshold * f
 		return p, nil
 	case "ingens":
+		if threshold > 1 {
+			return nil, fmt.Errorf("sweep: ingens threshold %v must be within [0, 1] (a utilization bar)", threshold)
+		}
 		p := policy.NewIngens()
 		p.UtilThreshold = threshold
 		p.ScanRate *= f

@@ -6,8 +6,8 @@
 //   - global counters and histograms pushed from the runner (sweep cells
 //     done, per-cell wall latency),
 //   - pull gauges registered once per process by the byte-budget caches
-//     (internal/snapshot's warm-up images, internal/workload's access
-//     traces),
+//     (internal/cache instances: internal/snapshot's warm-up images and
+//     internal/workload's access traces),
 //   - and the per-run trace.Counters registries of recently built traced
 //     machines, attached at construction and summed on scrape —
 //
@@ -15,8 +15,7 @@
 // of only read back from files afterwards. This is the paper's own argument
 // turned on the harness: decisions (here, "is this run healthy?") should
 // come from fine-grained, continuously measured state, not post-hoc batch
-// output. The package is the groundwork for hawkeye-serve (ROADMAP item 4):
-// the daemon will mount exactly these endpoints.
+// output. Both CLIs serve it with -debug-addr.
 //
 // Contract (held by the -race perturbation tests and the introspect_off
 // bench gate):
@@ -43,41 +42,12 @@ import (
 	"hawkeye/internal/trace"
 )
 
-// Counter is a process-wide monotonic counter. Handles are obtained once
-// (GetCounter) and held at call sites; Add is one uncontended atomic.
-// Nil-safe like the trace hook types, so conditional call sites need no
+// Counter is a process-wide monotonic counter. It is trace.Counter, the
+// type of a machine's per-run counters, so one counter type serves both
+// scopes. Handles are obtained once (GetCounter) and held at call sites; Add
+// is one uncontended atomic. Nil-safe, so conditional call sites need no
 // branch of their own.
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the counter's registered name ("" on a nil handle).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on a nil handle).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+type Counter = trace.Counter
 
 // MetricType tags a scraped metric for the OpenMetrics exposition.
 type MetricType uint8
@@ -120,8 +90,10 @@ const MaxAttached = 64
 // Registry is the process-wide metrics registry. The zero value is not
 // usable; call NewRegistry (or use the package-level Default).
 type Registry struct {
+	// counters holds the global counters, under its own lock.
+	counters *trace.Counters
+
 	mu       sync.Mutex
-	counters map[string]*Counter
 	gauges   map[string]func() float64
 	hists    map[string]*Histogram
 	machines []*attached
@@ -138,7 +110,7 @@ type Registry struct {
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: trace.NewCounters(nil),
 		gauges:   make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 	}
@@ -152,21 +124,12 @@ var std = NewRegistry()
 func Default() *Registry { return std }
 
 // Counter returns the named global counter, registering it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return r.counters.Counter(name) }
 
 // Gauge registers a pull callback for name, replacing any previous one. The
 // callback must be safe for concurrent use: it runs on scrape goroutines
-// while the process works (the cache packages satisfy this by reading their
-// own mutex-guarded stats).
+// while the process works (internal/cache satisfies this by reading its
+// mutex-guarded stats).
 func (r *Registry) Gauge(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -248,11 +211,8 @@ func (r *Registry) Snapshot() []Metric {
 	for name, fn := range r.gauges {
 		gauges = append(gauges, namedGauge{name, fn})
 	}
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
 	r.mu.Unlock()
+	globals := r.counters.CounterSamples()
 
 	vals := make(map[string]Metric)
 	for _, m := range machines {
@@ -263,8 +223,8 @@ func (r *Registry) Snapshot() []Metric {
 			vals[s.Name] = mv
 		}
 	}
-	for _, c := range counters {
-		vals[c.name] = Metric{Name: c.name, Type: TypeCounter, Value: float64(c.Value())}
+	for _, s := range globals {
+		vals[s.Name] = Metric{Name: s.Name, Type: TypeCounter, Value: s.Value}
 	}
 	for _, g := range gauges {
 		vals[g.name] = Metric{Name: g.name, Type: TypeGauge, Value: g.fn()}
@@ -331,9 +291,8 @@ func AttachMachine(label string, rec *trace.Recorder) { std.Attach(label, rec) }
 // Armed reports whether the default registry's debug server is running.
 func Armed() bool { return std.Armed() }
 
-// CacheStats is the shape a byte-budget cache reports to RegisterCache —
-// the common denominator of internal/snapshot's and internal/workload's
-// cache stats.
+// CacheStats is what a byte-budget cache (internal/cache) reports to
+// RegisterCache.
 type CacheStats struct {
 	Entries       int
 	ResidentBytes int64
@@ -342,8 +301,8 @@ type CacheStats struct {
 
 // RegisterCache registers the process-wide gauges of one named byte-budget
 // cache on the default registry: <name>_entries, <name>_bytes (resident) and
-// <name>_evict (cumulative). stats must be safe for concurrent use; the
-// cache packages call this once from their init.
+// <name>_evict (cumulative). stats must be safe for concurrent use;
+// cache.New calls this once per cache.
 func RegisterCache(name string, stats func() CacheStats) {
 	RegisterGauge(name+"_entries", func() float64 { return float64(stats().Entries) })
 	RegisterGauge(name+"_bytes", func() float64 { return float64(stats().ResidentBytes) })

@@ -62,28 +62,11 @@ func BenchmarkTouchRunTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotForkDeep measures the deep-copy fork path: every
-// resident table chunk of the fragmented image duplicated per op. Compare
-// against BenchmarkSnapshotForkCOW for the copy-on-write saving (both
-// wall-clock and allocated bytes):
+// BenchmarkSnapshotForkCOW measures the fork path: the forked machine
+// shares every table chunk with the frozen image, so the op copies spines
+// and scalars only — O(#chunks), no element data:
 //
-//	go test ./internal/kernel -bench 'SnapshotFork(Deep|COW)$'
-func BenchmarkSnapshotForkDeep(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.MemoryBytes = 128 << 20
-	warm := New(cfg, nil)
-	warm.FragmentMemoryPinned(0.15, DefaultPinnedChunkFrac)
-	snap := warm.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchForkSink = snap.ForkDeep(nil, nil)
-	}
-}
-
-// BenchmarkSnapshotForkCOW measures the copy-on-write fork path: the forked
-// machine shares every table chunk with the frozen image, so the op copies
-// spines and scalars only — O(1) in machine size.
+//	go test ./internal/kernel -bench 'SnapshotForkCOW$'
 func BenchmarkSnapshotForkCOW(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.MemoryBytes = 128 << 20

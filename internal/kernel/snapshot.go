@@ -23,14 +23,11 @@ import (
 // O(#chunks) and Fork builds a new machine whose tables share every chunk
 // with the image until the forked machine writes it — fork cost is O(1) in
 // machine size, and a mutated fork pays only for the chunks it dirties.
-// ForkDeep is the deep-copy escape hatch with PR 5 semantics: the new
-// machine duplicates every resident chunk up front and never shares
-// writable-generation state with the image.
 //
-// Both fork flavors replay a machine under the repo's bit-identity
-// contract: a policy run forked from a snapshot produces byte-identical
-// tables to the same run on a freshly built machine (golden-enforced by
-// TestSnapshotForkMatchesFresh and the COW-vs-deep digest tests).
+// Forks replay a machine under the repo's bit-identity contract: a policy
+// run forked from a snapshot produces byte-identical tables to the same run
+// on a freshly built machine (golden-enforced by
+// TestSnapshotForkMatchesFresh).
 //
 // A Snapshot is immutable after capture. Forking only reads it, so any
 // number of goroutines may Fork the same Snapshot concurrently — this is
@@ -53,14 +50,6 @@ type Snapshot struct {
 	swapOutTime sim.Time
 	ooms        int
 	swapCursor  int
-
-	// Pristine-table flags, verified once at capture: when the warm-up never
-	// mapped or wrote a page, deep forks allocate the content signatures and
-	// the reverse map empty instead of copying zeroes — the same bytes at a
-	// fraction of the memory traffic. False simply means "copy"; correctness
-	// never depends on how the warm-up behaved.
-	storePristine bool
-	rmapPristine  bool
 
 	// bytes is the resident heap footprint of the image's per-frame tables,
 	// computed once at capture (the image never changes afterwards). The
@@ -113,8 +102,6 @@ func (k *Kernel) Snapshot() *Snapshot {
 		swapCursor:  k.swapCursor,
 	}
 	s.vm = k.VMM.ForkInto(s.alloc, s.store)
-	s.storePristine = s.store.Pristine()
-	s.rmapPristine = s.vm.RmapPristine()
 	s.bytes = s.alloc.HeapBytes() + s.store.HeapBytes() + s.vm.RmapHeapBytes()
 	k.Trace.SnapshotCreate(int64(k.Alloc.AllocatedPages()), int64(k.Alloc.FreePages()))
 	k.Trace.Counter("snapshot_create").Inc()
@@ -146,42 +133,13 @@ func (s *Snapshot) Bytes() int64 { return s.bytes }
 // era watermark crossings) are not replayed. Tracing is passive, so tables
 // remain byte-identical regardless.
 func (s *Snapshot) Fork(pol Policy, traceCfg *trace.Config) *Kernel {
-	return s.fork(pol, traceCfg, false)
-}
-
-// ForkDeep is Fork with PR 5 deep-copy semantics: every resident table
-// chunk is duplicated at fork time, so the machine shares no
-// writable-generation state with the image and its writes never pay
-// copy-on-write. Byte-for-byte the resulting machine is identical to
-// Fork's; only the copying strategy (and its cost profile) differs. The
-// -no-snapshot-cache escape hatch routes through this.
-func (s *Snapshot) ForkDeep(pol Policy, traceCfg *trace.Config) *Kernel {
-	return s.fork(pol, traceCfg, true)
-}
-
-func (s *Snapshot) fork(pol Policy, traceCfg *trace.Config, deep bool) *Kernel {
 	cfg := s.cfg
 	cfg.Trace = traceCfg
 	eng := sim.NewEngine(cfg.Seed)
 	eng.Rand = s.rand.Clone()
-	var (
-		alloc *mem.Allocator
-		store *content.Store
-		vm    *vmm.VMM
-	)
-	if deep {
-		alloc = s.alloc.Clone()
-		if s.storePristine {
-			store = s.store.CloneFresh()
-		} else {
-			store = s.store.Clone()
-		}
-		vm = s.vm.CloneInto(alloc, store, s.rmapPristine)
-	} else {
-		alloc = s.alloc.Fork()
-		store = s.store.Fork()
-		vm = s.vm.ForkInto(alloc, store)
-	}
+	alloc := s.alloc.Fork()
+	store := s.store.Fork()
+	vm := s.vm.ForkInto(alloc, store)
 	k := &Kernel{
 		Cfg:            cfg,
 		Engine:         eng,

@@ -97,37 +97,6 @@ func TestForkMatchesFreshMachine(t *testing.T) {
 	}
 }
 
-// TestForkDeepMatchesCOW holds the two fork flavors to one observable
-// machine: a copy-on-write fork and a deep fork of the same snapshot run
-// the same workload to identical digests and accounting, while their cost
-// profiles differ exactly as documented — the deep fork owns its chunks
-// and never materializes, the COW fork pays per chunk it dirties.
-func TestForkDeepMatchesCOW(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemoryBytes = 64 << 20
-	warm := New(cfg, &testPolicy{decision: DecideHuge})
-	warm.FragmentMemoryPinned(0.4, DefaultPinnedChunkFrac)
-	snap := warm.Snapshot()
-
-	cowK := snap.Fork(&testPolicy{decision: DecideHuge}, nil)
-	pc := runForkWorkload(t, cowK)
-	deepK := snap.ForkDeep(&testPolicy{decision: DecideHuge}, nil)
-	pd := runForkWorkload(t, deepK)
-
-	if dc, dd := parentDigest(cowK), parentDigest(deepK); dc != dd {
-		t.Errorf("COW and deep forks diverged\ncow:  %s\ndeep: %s", dc, dd)
-	}
-	if *pc.Acct != *pd.Acct {
-		t.Errorf("accounting differs:\ncow:  %+v\ndeep: %+v", pc.Acct, pd.Acct)
-	}
-	if n := deepK.COWDirtyChunks(); n != 0 {
-		t.Errorf("deep fork materialized %d chunks; it must own its tables up front", n)
-	}
-	if cowK.COWDirtyChunks() == 0 {
-		t.Error("COW fork ran a workload without materializing a single chunk")
-	}
-}
-
 // TestParentWritesDoNotReachSnapshot pins the other aliasing direction:
 // capture seals the parent's tables, so the parent keeps running (paying
 // copy-on-write for its own writes) while the frozen image stays exactly

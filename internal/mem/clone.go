@@ -4,33 +4,11 @@ import (
 	"hawkeye/internal/trace"
 )
 
-// Snapshot/fork support for the allocator. Two flavors exist:
-//
-//   - Clone is the deep copy (PR 5 semantics): every resident table chunk
-//     is duplicated, so the copy shares no writable state with the
-//     original and neither side's writes ever copy-on-write against the
-//     other.
-//   - Seal + Fork is the copy-on-write path: Seal freezes the tables in
-//     O(#chunks), after which Fork produces copies that share every chunk
-//     until one side writes it.
-//
-// In both cases the trace recorder and the compaction Mover are NOT
+// Snapshot/fork support for the allocator: Seal freezes the tables in
+// O(#chunks), after which Fork produces copies that share every chunk until
+// one side writes it. The trace recorder and the compaction Mover are NOT
 // carried over (both reference the machine the allocator belongs to); the
 // caller re-attaches them with SetTrace and SetMover on the new machine.
-
-// Clone returns a deep copy of the allocator: free lists, per-frame state,
-// the zero-content bitmap, the page-cache LIFO and every statistic. The
-// copy shares no mutable state with the original — mutating either side
-// never affects the other.
-func (a *Allocator) Clone() *Allocator {
-	c := a.cloneHeader()
-	c.frames = a.frames.DeepClone()
-	c.next = a.next.DeepClone()
-	c.prev = a.prev.DeepClone()
-	c.zeroBits = a.zeroBits.DeepClone()
-	c.fileLIFO = a.fileLIFO.DeepClone()
-	return c
-}
 
 // Seal freezes every per-frame table so the allocator can be forked. The
 // allocator stays fully usable; its later writes copy the chunks they
@@ -47,20 +25,15 @@ func (a *Allocator) Seal() {
 // tables share every chunk with a until one side writes it. Scalar state
 // (free-list heads, counts, watermarks, statistics) is copied by value.
 func (a *Allocator) Fork() *Allocator {
-	c := a.cloneHeader()
-	c.frames = a.frames.Fork()
-	c.next = a.next.Fork()
-	c.prev = a.prev.Fork()
-	c.zeroBits = a.zeroBits.Fork()
-	c.fileLIFO = a.fileLIFO.Fork()
-	return c
-}
-
-// cloneHeader copies every scalar field shared by Clone and Fork.
-func (a *Allocator) cloneHeader() *Allocator {
 	return &Allocator{
 		heads:  a.heads,
 		counts: a.counts,
+
+		frames:   a.frames.Fork(),
+		next:     a.next.Fork(),
+		prev:     a.prev.Fork(),
+		zeroBits: a.zeroBits.Fork(),
+		fileLIFO: a.fileLIFO.Fork(),
 
 		totalPages:    a.totalPages,
 		freePages:     a.freePages,

@@ -24,8 +24,7 @@
 // that has never been written points at a per-table-family "background"
 // chunk holding the fill value in every slot. A freshly built table of any
 // length therefore allocates O(#chunks) spine entries and one shared chunk,
-// which is what makes pristine-table forks (and Pristine scans that skip
-// background chunks) cheap.
+// not O(length) elements.
 //
 // Concurrency contract: a sealed, unmodified table may be forked and read
 // from any number of goroutines concurrently. All writes (Set, Mut, Grow,
@@ -121,8 +120,8 @@ type Table[T any] struct {
 	// (nil-safe).
 	dirty int64
 	ctr   *trace.Counter
-	// pool is the family's chunk/spine recycler, shared by every fork and
-	// clone descended from the same NewTable.
+	// pool is the family's chunk/spine recycler, shared by every fork
+	// descended from the same NewTable.
 	pool *familyPool[T]
 }
 
@@ -257,33 +256,6 @@ func (t *Table[T]) Fork() *Table[T] {
 	}
 }
 
-// DeepClone returns a copy sharing no writable state with t: every
-// resident chunk is copied into a chunk owned by the clone. Background
-// chunks stay shared — they are immutable by construction, so the clone
-// still cannot observe or cause writes through them. This is the PR 5
-// deep-fork escape hatch; it is legal on any table, sealed or not, and is
-// read-only on t (safe to call concurrently from multiple forks).
-func (t *Table[T]) DeepClone() *Table[T] {
-	c := &Table[T]{
-		spine: make([]*chunk[T], len(t.spine)),
-		n:     t.n,
-		bg:    t.bg,
-		id:    new(uint8),
-		pool:  t.pool,
-	}
-	for i, ch := range t.spine {
-		if ch == t.bg {
-			c.spine[i] = t.bg
-			continue
-		}
-		nc := t.pool.getChunk()
-		nc.owner = c.id
-		nc.data = ch.data
-		c.spine[i] = nc
-	}
-	return c
-}
-
 // Grow extends the table to n elements, new elements reading as the fill
 // value. Shrinking is not supported (no-op when n <= Len).
 func (t *Table[T]) Grow(n int) {
@@ -295,14 +267,6 @@ func (t *Table[T]) Grow(n int) {
 	}
 	t.n = n
 }
-
-// ChunkCount returns the number of chunks on the spine.
-func (t *Table[T]) ChunkCount() int { return len(t.spine) }
-
-// ChunkResident reports whether chunk ci holds materialized data (true) or
-// still aliases the background fill chunk (false). Pristine-style scans
-// use this to skip never-written ranges wholesale.
-func (t *Table[T]) ChunkResident(ci int) bool { return t.spine[ci] != t.bg }
 
 // ResidentChunks counts materialized chunks — chunks carrying real data,
 // owned or frozen, attributed to this table whether or not other forks

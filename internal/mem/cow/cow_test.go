@@ -36,8 +36,8 @@ func TestLazyBackground(t *testing.T) {
 	if got := tb.ResidentChunks(); got != 1 {
 		t.Fatalf("one write materialized %d chunks, want 1", got)
 	}
-	if tb.ChunkResident(0) || !tb.ChunkResident(123456>>chunkShift) {
-		t.Fatal("ChunkResident does not match the write")
+	if tb.spine[0] != tb.bg || tb.spine[123456>>chunkShift] == tb.bg {
+		t.Fatal("resident chunks do not match the write")
 	}
 }
 
@@ -92,28 +92,6 @@ func TestForkIsolation(t *testing.T) {
 	}
 }
 
-func TestDeepCloneMatchesAndIsolates(t *testing.T) {
-	tb := NewTable[uint16](2*ChunkElems, 9)
-	tb.Set(5, 1)
-	clone := tb.DeepClone() // legal without sealing
-	for i := 0; i < tb.Len(); i++ {
-		if clone.Get(i) != tb.Get(i) {
-			t.Fatalf("clone differs at %d", i)
-		}
-	}
-	clone.Set(5, 2)
-	tb.Set(6, 3)
-	if tb.Get(5) != 1 || clone.Get(6) != 9 {
-		t.Fatal("deep clone aliases its source")
-	}
-	// The clone owns its data chunks: writing them must not materialize.
-	pre := clone.DirtyChunks()
-	clone.Set(7, 4)
-	if clone.DirtyChunks() != pre {
-		t.Fatal("deep clone had to re-materialize an owned chunk")
-	}
-}
-
 func TestGrow(t *testing.T) {
 	tb := NewTable[int64](10, 7)
 	tb.Set(3, 1)
@@ -150,13 +128,12 @@ func TestDirtyAccounting(t *testing.T) {
 		t.Fatalf("post-seal dirty = %d, counter = %d, want 1/1", tb.DirtyChunks(), c.Value())
 	}
 
-	fork := tb.DeepClone()
-	fork.Seal()
-	f2 := fork.Fork()
-	f2.SetDirtyCounter(cs.Counter("fork_dirty"))
-	f2.Set(0, 6) // shared resident chunk copied into the fork: counts
-	if f2.DirtyChunks() != 1 {
-		t.Fatalf("fork dirty = %d, want 1", f2.DirtyChunks())
+	tb.Seal()
+	fork := tb.Fork()
+	fork.SetDirtyCounter(cs.Counter("fork_dirty"))
+	fork.Set(0, 6) // shared resident chunk copied into the fork: counts
+	if fork.DirtyChunks() != 1 {
+		t.Fatalf("fork dirty = %d, want 1", fork.DirtyChunks())
 	}
 }
 

@@ -132,7 +132,6 @@ func Tier0Benchmarks() []Tier0Bench {
 		{Name: "tlb_access", Iters: 1_000_000, Reps: 3, Setup: setupTLBAccess},
 		{Name: "tlb_access_run", Iters: 1_000_000, Reps: 3, Setup: setupTLBAccessRun},
 		{Name: "access_scan", Iters: 1_000_000, Reps: 3, Setup: setupAccessScan},
-		{Name: "snapshot_fork", Iters: 100, Reps: 3, Setup: setupSnapshotFork},
 		{Name: "snapshot_fork_cow", Iters: 100, Reps: 3, Setup: setupSnapshotForkCOW},
 		// table3 runs before fig5: fig5's machines fork from the process-wide
 		// snapshot cache, and the cache it leaves behind perturbs the heap
@@ -344,29 +343,10 @@ func setupAccessScan() func() {
 	}
 }
 
-// setupSnapshotFork measures the deep-copy replay path (Snapshot.ForkDeep):
-// one machine is built and fragmented once, and each op duplicates a
-// complete independent machine from its snapshot — every resident table
-// chunk copied up front (allocator, content store, VMM, TLB, engine
-// replay). This is the pre-COW fork cost, kept under the same name so the
-// baseline history stays comparable; snapshot_fork_cow below guards the
-// copy-on-write fast path against it.
-func setupSnapshotFork() func() {
-	cfg := kernel.DefaultConfig()
-	cfg.MemoryBytes = 128 << 20
-	warm := kernel.New(cfg, nil)
-	warm.FragmentMemoryPinned(0.15, kernel.DefaultPinnedChunkFrac)
-	snap := warm.Snapshot()
-	return func() {
-		forkSink = snap.ForkDeep(nil, nil)
-	}
-}
-
-// setupSnapshotForkCOW measures the copy-on-write fork path the sweep
-// fan-out leans on: same snapshot as setupSnapshotFork, but each op builds
-// the machine by sharing every table chunk with the frozen image instead of
-// copying them — O(#chunks) spine copies, no element data. The ≥10x gap
-// between this and snapshot_fork is the tentpole saving of the COW layer.
+// setupSnapshotForkCOW measures the fork path the sweep fan-out leans on:
+// one machine is built and fragmented once, and each op builds a complete
+// independent machine from its snapshot by sharing every table chunk with
+// the frozen image — O(#chunks) spine copies, no element data.
 func setupSnapshotForkCOW() func() {
 	cfg := kernel.DefaultConfig()
 	cfg.MemoryBytes = 128 << 20

@@ -85,8 +85,8 @@ func TestSweepScrapeDoesNotPerturb(t *testing.T) {
 		t.Skip("runs the sweep grid twice; skipped in -short")
 	}
 	spec, opts := introspectSweepSpec()
-	workload.ResetTraceCache()
-	defer workload.ResetTraceCache()
+	workload.TraceCache.Reset()
+	defer workload.TraceCache.Reset()
 
 	baseline := renderSweepCSV(t, RunSweep(spec, opts, 2))
 
@@ -174,8 +174,8 @@ func TestSweepPublishesProgress(t *testing.T) {
 		t.Skip("runs a sweep grid; skipped in -short")
 	}
 	spec, opts := introspectSweepSpec()
-	workload.ResetTraceCache()
-	defer workload.ResetTraceCache()
+	workload.TraceCache.Reset()
+	defer workload.TraceCache.Reset()
 
 	reg := introspect.Default()
 	srv, err := reg.Serve("127.0.0.1:0")

@@ -23,8 +23,8 @@ func TestSweepReplayMatchesLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep grid twice; skipped in -short")
 	}
-	workload.ResetTraceCache()
-	defer workload.ResetTraceCache()
+	workload.TraceCache.Reset()
+	defer workload.TraceCache.Reset()
 
 	spec := experiments.SweepSpec{
 		Workload:   "graph500",
@@ -68,7 +68,7 @@ func TestSweepReplayMatchesLive(t *testing.T) {
 	if replayJSON != liveJSON {
 		t.Errorf("replayed sweep JSON report differs from live sampling")
 	}
-	if st := workload.TraceCacheStatsNow(); st.Entries == 0 {
+	if st := workload.TraceCache.Stats(); st.Entries == 0 {
 		t.Error("replayed sweep recorded no traces — replay never engaged")
 	}
 }

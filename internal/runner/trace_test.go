@@ -120,9 +120,9 @@ func TestTraceChromeExport(t *testing.T) {
 		// traced fig5 runs keep alive (the vmstat gauges read them) stall an
 		// 8 GB host. Each run starts from an empty trace cache: a machine's
 		// trace_replay_hits counts the chunks earlier machines recorded.
-		defer workload.ResetTraceCache()
+		defer workload.TraceCache.Reset()
 		digest := func(procs int) [sha256.Size]byte {
-			workload.ResetTraceCache()
+			workload.TraceCache.Reset()
 			var res Result
 			withProcs(procs, func() { res = Run([]string{"fig5"}, traceOpts(), 1)[0] })
 			if res.Error != "" {

@@ -8,10 +8,10 @@
 // single output byte (the fork path is golden-enforced bit-identical to
 // fresh construction).
 //
-// Concurrency: the cache is shared across the parallel runner's workers. A
-// per-key sync.Once makes the warm-up single-flight — concurrent requests
-// for the same key build once and share the frozen Snapshot — and forking a
-// frozen Snapshot is read-only, so concurrent Forks need no further locking.
+// Concurrency: the cache is shared across the parallel runner's workers.
+// Warm-ups are single-flight (internal/cache) — concurrent requests for the
+// same key build once and share the frozen Snapshot — and forking a frozen
+// Snapshot is read-only, so concurrent Forks need no further locking.
 //
 // Determinism: warm-ups are built with a nil policy and tracing disabled.
 // This is sound because no policy touches substrate state or consumes the
@@ -22,26 +22,10 @@
 package snapshot
 
 import (
-	"sync"
-
+	"hawkeye/internal/cache"
 	"hawkeye/internal/introspect"
 	"hawkeye/internal/kernel"
 )
-
-// The cache's process-wide size is observable live: snapshot_cache_entries,
-// snapshot_cache_bytes and snapshot_cache_evict on the introspect registry
-// (the debug server's /metrics). Stats is mutex-guarded, so the scrape-time
-// pull is safe while workers fork.
-func init() {
-	introspect.RegisterCache("snapshot_cache", func() introspect.CacheStats {
-		s := Stats()
-		return introspect.CacheStats{
-			Entries:       s.Entries,
-			ResidentBytes: s.ResidentBytes,
-			Evictions:     s.Evictions,
-		}
-	})
-}
 
 // Key identifies one warm-up: the full machine configuration (with the
 // non-comparable Engine/Trace pointers normalized to nil) plus the
@@ -53,30 +37,11 @@ type Key struct {
 	Pinned float64
 }
 
-type cacheEntry struct {
-	once sync.Once
-	snap *kernel.Snapshot
-	// lastFork is the cache-wide sequence number of the entry's most recent
-	// use (build or fork), guarded by mu. Eviction removes the entry with
-	// the smallest lastFork — least recently forked.
-	lastFork int64
-}
-
-var (
-	mu      sync.Mutex
-	entries = make(map[Key]*cacheEntry)
-
-	// budgetBytes caps the summed Snapshot.Bytes of built entries; 0 (the
-	// default) means unlimited. forkSeq and evictions are cumulative
-	// counters guarded by mu.
-	budgetBytes int64
-	forkSeq     int64
-	evictions   int64
-
-	// deepForks routes every cache Fork through Snapshot.ForkDeep — the
-	// one-flag escape hatch back to deep-copy (PR 5) fork semantics.
-	deepForks bool
-)
+// Cache holds the warm-up snapshots, budgeted by Snapshot.Bytes and evicted
+// least-recently-forked first. Its process-wide size is observable live as
+// snapshot_cache_entries, snapshot_cache_bytes and snapshot_cache_evict on
+// the introspect registry (the debug server's /metrics).
+var Cache = cache.New[Key, *kernel.Snapshot]("snapshot_cache")
 
 // For returns the snapshot of a machine built from cfg and fragmented with
 // FragmentMemoryPinned(keep, pinned) (keep <= 0 means no fragmentation:
@@ -89,129 +54,19 @@ func For(cfg kernel.Config, keep, pinned float64) *kernel.Snapshot {
 	return snap
 }
 
-// forUse is For plus bookkeeping: it stamps the entry's fork recency, runs
-// byte-budget eviction, and reports how many snapshots this call evicted.
+// forUse is For that also reports how many snapshots this call evicted.
 func forUse(cfg kernel.Config, keep, pinned float64) (*kernel.Snapshot, int64) {
 	if cfg.Engine != nil {
 		panic("snapshot: cache requested for a shared-engine config")
 	}
 	cfg.Trace = nil
-	key := Key{Cfg: cfg, Keep: keep, Pinned: pinned}
-	mu.Lock()
-	e := entries[key]
-	if e == nil {
-		e = &cacheEntry{}
-		entries[key] = e
-	}
-	mu.Unlock()
-	e.once.Do(func() {
+	return Cache.Get(Key{Cfg: cfg, Keep: keep, Pinned: pinned}, func() *kernel.Snapshot {
 		k := kernel.New(cfg, nil)
 		if keep > 0 {
 			k.FragmentMemoryPinned(keep, pinned)
 		}
-		e.snap = k.Snapshot()
+		return k.Snapshot()
 	})
-	mu.Lock()
-	defer mu.Unlock()
-	forkSeq++
-	e.lastFork = forkSeq
-	var evicted int64
-	// The entry may have been evicted while we were building or waiting;
-	// callers holding the snapshot are unaffected (it is immutable), but
-	// only entries still in the map participate in budgeting.
-	if cur, ok := entries[key]; ok && cur == e {
-		evicted = enforceBudgetLocked(e)
-	}
-	return e.snap, evicted
-}
-
-// enforceBudgetLocked evicts least-recently-forked snapshots until the
-// cache fits the byte budget, never evicting keep (the entry being used
-// right now) or entries still being built. Returns how many it evicted.
-// Caller holds mu.
-func enforceBudgetLocked(keep *cacheEntry) int64 {
-	if budgetBytes <= 0 {
-		return 0
-	}
-	var n int64
-	for residentBytesLocked() > budgetBytes {
-		var victimKey Key
-		var victim *cacheEntry
-		// Selection by unique minimum lastFork: iteration order over the
-		// map cannot change which entry wins.
-		for k, e := range entries {
-			if e == keep || e.snap == nil {
-				continue
-			}
-			if victim == nil || e.lastFork < victim.lastFork {
-				//lint:allow determinism victim has the unique smallest lastFork
-				victim, victimKey = e, k
-			}
-		}
-		if victim == nil {
-			break // nothing evictable: budget smaller than the live snapshot
-		}
-		delete(entries, victimKey)
-		evictions++
-		n++
-	}
-	return n
-}
-
-// residentBytesLocked sums the frozen byte footprint of built entries.
-// Caller holds mu.
-func residentBytesLocked() int64 {
-	var total int64
-	for _, e := range entries {
-		if e.snap != nil {
-			//lint:allow determinism order-insensitive integer sum
-			total += e.snap.Bytes()
-		}
-	}
-	return total
-}
-
-// SetCacheBudget caps the cache's resident snapshot bytes (as reported by
-// Snapshot.Bytes); 0 restores the default, unlimited. Lowering the budget
-// evicts immediately. With a finite budget, which forks hit or rebuild the
-// cache depends on cross-worker timing — eviction counts (and warm-up
-// counts) are only run-to-run deterministic under the default unlimited
-// budget or single-worker execution; simulation outputs are bit-identical
-// regardless, because forks are bit-identical however the warm-up was
-// obtained.
-func SetCacheBudget(n int64) {
-	mu.Lock()
-	defer mu.Unlock()
-	budgetBytes = n
-	enforceBudgetLocked(nil)
-}
-
-// SetDeepForks routes cache forks through Snapshot.ForkDeep (true) or the
-// default copy-on-write Snapshot.Fork (false). Deep forks restore PR 5
-// semantics: each machine duplicates every resident table chunk up front
-// and shares no writable-generation state with the cached image.
-func SetDeepForks(deep bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	deepForks = deep
-}
-
-// CacheStats is a point-in-time view of the cache.
-type CacheStats struct {
-	Entries       int   // cached snapshots (including ones still building)
-	ResidentBytes int64 // summed Snapshot.Bytes of built entries
-	Evictions     int64 // cumulative evictions since process start / Reset
-}
-
-// Stats reports the cache's current size and cumulative eviction count.
-func Stats() CacheStats {
-	mu.Lock()
-	defer mu.Unlock()
-	return CacheStats{
-		Entries:       len(entries),
-		ResidentBytes: residentBytesLocked(),
-		Evictions:     evictions,
-	}
 }
 
 // Fork is the harness entry point: it resolves (builds or reuses) the warm-up
@@ -229,28 +84,8 @@ func Stats() CacheStats {
 // snapshot_cache_evict (snapshots this fork's cache visit evicted; always 0
 // under the default unlimited budget).
 func Fork(cfg kernel.Config, pol kernel.Policy, keep, pinned float64) *kernel.Kernel {
-	tr := cfg.Trace
 	snap, evicted := forUse(cfg, keep, pinned)
-	mu.Lock()
-	deep := deepForks
-	mu.Unlock()
-	var k *kernel.Kernel
-	if deep {
-		k = snap.ForkDeep(pol, tr)
-	} else {
-		k = snap.Fork(pol, tr)
-	}
+	k := snap.Fork(pol, cfg.Trace)
 	introspect.CountCacheAttach(k.Trace, "snapshot_cache", snap.Bytes(), evicted)
 	return k
-}
-
-// Reset drops every cached snapshot and zeroes the recency/eviction
-// counters (test isolation / memory release). The byte budget and the
-// deep-fork flag are configuration, not cache state, and survive Reset.
-func Reset() {
-	mu.Lock()
-	entries = make(map[Key]*cacheEntry)
-	forkSeq = 0
-	evictions = 0
-	mu.Unlock()
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hawkeye/internal/kernel"
-	"hawkeye/internal/mem"
 	"hawkeye/internal/trace"
 )
 
@@ -21,8 +20,8 @@ func testCfg() kernel.Config {
 // goroutines requesting the same key get the one shared Snapshot, built
 // exactly once; a different key gets a different warm-up.
 func TestForSingleflight(t *testing.T) {
-	Reset()
-	defer Reset()
+	Cache.Reset()
+	defer Cache.Reset()
 
 	const workers = 8
 	snaps := make([]*kernel.Snapshot, workers)
@@ -49,8 +48,8 @@ func TestForSingleflight(t *testing.T) {
 // and a direct kernel.New + FragmentMemoryPinned with the same parameters
 // describe the same machine.
 func TestForkMatchesDirectBuild(t *testing.T) {
-	Reset()
-	defer Reset()
+	Cache.Reset()
+	defer Cache.Reset()
 
 	cfg := testCfg()
 	forked := Fork(cfg, nil, 0.3, kernel.DefaultPinnedChunkFrac)
@@ -74,11 +73,11 @@ func TestForkMatchesDirectBuild(t *testing.T) {
 // TestResetDropsEntries checks the isolation hook: after Reset, the same key
 // warms up again and yields a distinct Snapshot.
 func TestResetDropsEntries(t *testing.T) {
-	Reset()
-	defer Reset()
+	Cache.Reset()
+	defer Cache.Reset()
 
 	first := For(testCfg(), 0.3, kernel.DefaultPinnedChunkFrac)
-	Reset()
+	Cache.Reset()
 	second := For(testCfg(), 0.3, kernel.DefaultPinnedChunkFrac)
 	if first == second {
 		t.Fatal("Reset did not drop the cached snapshot")
@@ -87,8 +86,8 @@ func TestResetDropsEntries(t *testing.T) {
 
 // TestForRejectsSharedEngine pins the precondition panic.
 func TestForRejectsSharedEngine(t *testing.T) {
-	Reset()
-	defer Reset()
+	Cache.Reset()
+	defer Cache.Reset()
 
 	defer func() {
 		if recover() == nil {
@@ -104,19 +103,19 @@ func TestForRejectsSharedEngine(t *testing.T) {
 // a budget that fits one snapshot, warming a second key evicts the one
 // forked longer ago, and the entry in active use is never the victim.
 func TestCacheBudgetEvictsLeastRecentlyForked(t *testing.T) {
-	Reset()
-	defer Reset()
-	defer SetCacheBudget(0)
+	Cache.Reset()
+	defer Cache.Reset()
+	defer Cache.SetBudget(0)
 
 	a := For(testCfg(), 0.3, kernel.DefaultPinnedChunkFrac)
 	budget := a.Bytes() + a.Bytes()/2 // fits one snapshot, not two
-	SetCacheBudget(budget)
-	if got := Stats(); got.Entries != 1 || got.Evictions != 0 {
+	Cache.SetBudget(budget)
+	if got := Cache.Stats(); got.Entries != 1 || got.Evictions != 0 {
 		t.Fatalf("budget above resident size evicted: %+v", got)
 	}
 
 	For(testCfg(), 0.6, kernel.DefaultPinnedChunkFrac) // over budget: evicts a (older fork stamp)
-	st := Stats()
+	st := Cache.Stats()
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("expected 1 entry, 1 eviction, got %+v", st)
 	}
@@ -128,7 +127,7 @@ func TestCacheBudgetEvictsLeastRecentlyForked(t *testing.T) {
 	if again := For(testCfg(), 0.3, kernel.DefaultPinnedChunkFrac); again == a {
 		t.Fatal("evicted snapshot was still served from the cache")
 	}
-	if st := Stats(); st.Evictions != 2 {
+	if st := Cache.Stats(); st.Evictions != 2 {
 		t.Fatalf("rebuild should have evicted the other entry, got %+v", st)
 	}
 }
@@ -136,55 +135,20 @@ func TestCacheBudgetEvictsLeastRecentlyForked(t *testing.T) {
 // TestCacheBudgetKeepsLiveEntry: a budget too small for even one snapshot
 // must not evict the snapshot being handed out.
 func TestCacheBudgetKeepsLiveEntry(t *testing.T) {
-	Reset()
-	defer Reset()
-	defer SetCacheBudget(0)
+	Cache.Reset()
+	defer Cache.Reset()
+	defer Cache.SetBudget(0)
 
-	SetCacheBudget(1) // smaller than any snapshot
+	Cache.SetBudget(1) // smaller than any snapshot
 	first := For(testCfg(), 0.3, kernel.DefaultPinnedChunkFrac)
-	if st := Stats(); st.Entries != 1 || st.Evictions != 0 {
+	if st := Cache.Stats(); st.Entries != 1 || st.Evictions != 0 {
 		t.Fatalf("live entry evicted under tiny budget: %+v", st)
 	}
 	second := For(testCfg(), 0.6, kernel.DefaultPinnedChunkFrac)
-	if st := Stats(); st.Entries != 1 || st.Evictions != 1 {
+	if st := Cache.Stats(); st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("expected older entry evicted once second arrived: %+v", st)
 	}
 	_, _ = first, second
-}
-
-// TestDeepForksFlag pins the -no-snapshot-cache escape hatch: with deep
-// forks enabled, cache forks share no chunks with the image — observable
-// as zero copy-on-write materializations when the fork mutates state that
-// a COW fork would have had to copy.
-func TestDeepForksFlag(t *testing.T) {
-	Reset()
-	defer Reset()
-	defer SetDeepForks(false)
-
-	cfg := testCfg()
-	cow := Fork(cfg, nil, 0.3, kernel.DefaultPinnedChunkFrac)
-
-	SetDeepForks(true)
-	deep := Fork(cfg, nil, 0.3, kernel.DefaultPinnedChunkFrac)
-
-	// Same machine either way.
-	if c, d := cow.Alloc.FreePages(), deep.Alloc.FreePages(); c != d {
-		t.Fatalf("deep and COW forks disagree on free pages: %d vs %d", c, d)
-	}
-	// Mutating the deep fork materializes nothing (it owns its chunks);
-	// the COW fork pays chunk copies for the same operation.
-	if _, err := deep.Alloc.Alloc(0, mem.PreferZero, mem.TagAnon); err != nil {
-		t.Fatal(err)
-	}
-	if n := deep.COWDirtyChunks(); n != 0 {
-		t.Fatalf("deep fork materialized %d chunks; deep forks must own their tables", n)
-	}
-	if _, err := cow.Alloc.Alloc(0, mem.PreferZero, mem.TagAnon); err != nil {
-		t.Fatal(err)
-	}
-	if n := cow.COWDirtyChunks(); n == 0 {
-		t.Fatal("COW fork mutated state without materializing any chunk")
-	}
 }
 
 // TestCacheCounterSchema pins the names and semantics of the counters the
@@ -192,8 +156,8 @@ func TestDeepForksFlag(t *testing.T) {
 // every traced machine, and snapshot_cache_bytes / snapshot_cache_evict
 // record the forked image's frozen footprint and this visit's evictions.
 func TestCacheCounterSchema(t *testing.T) {
-	Reset()
-	defer Reset()
+	Cache.Reset()
+	defer Cache.Reset()
 
 	cfg := testCfg()
 	cfg.Trace = &trace.Config{}

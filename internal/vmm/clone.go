@@ -3,17 +3,16 @@ package vmm
 import (
 	"hawkeye/internal/content"
 	"hawkeye/internal/mem"
-	"hawkeye/internal/mem/cow"
 	"hawkeye/internal/trace"
 )
 
-// Snapshot/fork support: deep copies of the virtual-memory layer. CloneInto
-// rebuilds the whole VMM — every address space (regions, PTE arrays, the
+// Snapshot/fork support for the virtual-memory layer. ForkInto rebuilds the
+// whole VMM — every address space (regions, PTE arrays, the
 // present/accessed/dirty bitmaps), the reverse map, the shared-frame
-// reference counts and the swap device — over an already-cloned allocator and
-// content store. The copy shares no mutable state with the original: mutating
-// a fork can never touch the parent (the aliasing tests checksum the parent
-// around fork mutations to hold this).
+// reference counts and the swap device — over an already-forked allocator
+// and content store. The reverse map is shared copy-on-write; everything
+// else is copied. Mutating a fork can never touch the parent (the aliasing
+// tests checksum the parent around fork mutations to hold this).
 
 // Clone returns a deep copy of the swap device, including the recycled-slot
 // LIFO whose order decides future slot assignment.
@@ -34,12 +33,12 @@ func (r *Region) clone() *Region {
 	return &c
 }
 
-// cloneInto returns a deep copy of the process bound to the new VMM. The
+// cloneFor returns a deep copy of the process bound to the new VMM. The
 // one-entry software translation cache is reset rather than copied: its
 // pointers address the parent's regions, and the cache is a pure lookup
 // shortcut — state is always re-read through it — so starting cold changes
 // nothing observable.
-func (p *Process) cloneInto(v *VMM) *Process {
+func (p *Process) cloneFor(v *VMM) *Process {
 	c := &Process{
 		PID:        p.PID,
 		Name:       p.Name,
@@ -74,48 +73,6 @@ func (p *Process) cloneInto(v *VMM) *Process {
 	return c
 }
 
-// RmapPristine reports whether the reverse map holds no entries — true on
-// any machine where no process ever mapped a page (file-cache fragmentation
-// happens below the VMM and leaves no reverse mappings). The snapshot layer
-// checks once per capture so forks of process-less machines can allocate
-// the largest per-machine table zeroed instead of copying it.
-func (v *VMM) RmapPristine() bool {
-	var zero mapping
-	for ci := 0; ci < v.rmap.ChunkCount(); ci++ {
-		if !v.rmap.ChunkResident(ci) {
-			continue // never written: still all zero entries
-		}
-		lo := ci * cow.ChunkElems
-		hi := lo + cow.ChunkElems
-		if hi > v.rmap.Len() {
-			hi = v.rmap.Len()
-		}
-		for i := lo; i < hi; i++ {
-			if v.rmap.Get(i) != zero {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CloneInto returns a deep copy of the VMM rebuilt over the given (already
-// cloned) allocator and content store, and registers the copy as the new
-// allocator's compaction Mover — the same wiring New performs. The original
-// VMM, its processes and its allocator are left untouched. rmapPristine
-// asserts that RmapPristine holds (the snapshot layer verifies it once per
-// capture), letting the clone allocate its reverse map zeroed instead of
-// copying zeroes; pass false whenever the reverse map's state is unknown.
-func (v *VMM) CloneInto(alloc *mem.Allocator, store *content.Store, rmapPristine bool) *VMM {
-	var rmap *cow.Table[mapping]
-	if rmapPristine {
-		rmap = cow.NewTable[mapping](v.rmap.Len(), mapping{})
-	} else {
-		rmap = v.rmap.DeepClone()
-	}
-	return v.cloneWith(alloc, store, rmap)
-}
-
 // Seal freezes the reverse map so the VMM can be forked with ForkInto; the
 // VMM stays fully usable, paying chunk copy-on-write for later writes. The
 // per-process page tables are not sealed — they are copied (cheaply, there
@@ -125,24 +82,20 @@ func (v *VMM) Seal() {
 	v.rmap.Seal()
 }
 
-// ForkInto is CloneInto with a copy-on-write reverse map: the fork shares
-// every rmap chunk with v (which must be sealed) until one side writes it.
-// Everything else — the refs map, processes, swap device — is copied
-// exactly as CloneInto copies it; those structures are small on the
-// quiesced machines the snapshot layer forks (no processes have spawned).
+// ForkInto returns a copy of the VMM rebuilt over the given (already
+// forked) allocator and content store, and registers the copy as the new
+// allocator's compaction Mover — the same wiring New performs. The copy
+// shares every reverse-map chunk with v (which must be sealed) until one
+// side writes it. Everything else — the refs map, processes, swap device —
+// is copied; those structures are small on the quiesced machines the
+// snapshot layer forks (no processes have spawned). The original VMM, its
+// processes and its allocator are left untouched.
 func (v *VMM) ForkInto(alloc *mem.Allocator, store *content.Store) *VMM {
-	return v.cloneWith(alloc, store, v.rmap.Fork())
-}
-
-// cloneWith rebuilds the VMM around an already-copied reverse map and
-// registers the copy as the new allocator's compaction Mover — the same
-// wiring New performs.
-func (v *VMM) cloneWith(alloc *mem.Allocator, store *content.Store, rmap *cow.Table[mapping]) *VMM {
 	c := &VMM{
 		Alloc:     alloc,
 		Content:   store,
 		nextPID:   v.nextPID,
-		rmap:      rmap,
+		rmap:      v.rmap.Fork(),
 		refs:      make(map[mem.FrameID]int32, len(v.refs)),
 		ZeroFrame: v.ZeroFrame,
 	}
@@ -153,7 +106,7 @@ func (v *VMM) cloneWith(alloc *mem.Allocator, store *content.Store, rmap *cow.Ta
 		c.refs[f] = n
 	}
 	for _, p := range v.procs {
-		c.procs = append(c.procs, p.cloneInto(c))
+		c.procs = append(c.procs, p.cloneFor(c))
 	}
 	if v.Swap != nil {
 		c.Swap = v.Swap.Clone()

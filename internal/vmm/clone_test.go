@@ -7,7 +7,7 @@ import (
 	"hawkeye/internal/mem"
 )
 
-// pteDigest summarizes the translation state a clone must not share with its
+// pteDigest summarizes the translation state a fork must not share with its
 // parent: every region's kind, flags and frame assignments.
 func pteDigest(p *Process) string {
 	out := ""
@@ -27,12 +27,13 @@ func pteDigest(p *Process) string {
 	return out
 }
 
-// TestCloneIntoDoesNotAliasParent holds the snapshot layer's core promise at
-// the VMM level: after CloneInto, mutating the clone — remapping pages,
-// setting access/dirty bits, unmapping — never changes the parent's state.
-// The parent's translation digest is taken before and after the mutations
-// and must match exactly.
-func TestCloneIntoDoesNotAliasParent(t *testing.T) {
+// TestForkIntoDoesNotAliasParent holds the snapshot layer's core promise at
+// the VMM level: after sealing the allocator, store and VMM and forking them
+// with ForkInto, mutating the fork — remapping pages, setting access/dirty
+// bits, unmapping — never changes the parent's state. The parent's
+// translation digest is taken before and after the mutations and must match
+// exactly.
+func TestForkIntoDoesNotAliasParent(t *testing.T) {
 	h := newHarness(t, 32)
 	p := h.vmm.NewProcess("parent")
 	frames := make([]mem.FrameID, 0, 64)
@@ -42,9 +43,12 @@ func TestCloneIntoDoesNotAliasParent(t *testing.T) {
 	before := pteDigest(p)
 	freeBefore := h.alloc.FreePages()
 
-	calloc := h.alloc.Clone()
-	cstore := h.store.Clone()
-	cv := h.vmm.CloneInto(calloc, cstore, false)
+	h.alloc.Seal()
+	h.store.Seal()
+	h.vmm.Seal()
+	calloc := h.alloc.Fork()
+	cstore := h.store.Fork()
+	cv := h.vmm.ForkInto(calloc, cstore)
 	var cp *Process
 	for _, q := range cv.Processes() {
 		if q.PID == p.PID {
@@ -52,15 +56,15 @@ func TestCloneIntoDoesNotAliasParent(t *testing.T) {
 		}
 	}
 	if cp == nil {
-		t.Fatal("clone lost the process")
+		t.Fatal("fork lost the process")
 	}
 
-	// Mutate the clone every way a run would: dirty pages, remap a slot to a
+	// Mutate the fork every way a run would: dirty pages, remap a slot to a
 	// fresh frame, and tear down a whole region.
 	for vpn := VPN(0); vpn < 64; vpn++ {
 		r, _ := cp.ResolvePTE(vpn)
 		if cv.AccessResolved(r, SlotOf(vpn), true) != TouchOK {
-			t.Fatalf("clone access vpn %d failed", vpn)
+			t.Fatalf("fork access vpn %d failed", vpn)
 		}
 	}
 	blk, err := calloc.Alloc(0, mem.PreferZero, mem.TagAnon)
@@ -73,12 +77,12 @@ func TestCloneIntoDoesNotAliasParent(t *testing.T) {
 	cv.MapBase(cp, r, SlotOf(3), blk.Head)
 
 	if got := pteDigest(p); got != before {
-		t.Errorf("parent translation state changed after clone mutation\nbefore:\n%s\nafter:\n%s", before, got)
+		t.Errorf("parent translation state changed after fork mutation\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 	if got := h.alloc.FreePages(); got != freeBefore {
 		t.Errorf("parent allocator free pages changed: %d -> %d", freeBefore, got)
 	}
-	// The parent's frames must still be the ones mapped before the clone.
+	// The parent's frames must still be the ones mapped before the fork.
 	for vpn := VPN(0); vpn < 64; vpn++ {
 		pte, _, present := p.Lookup(vpn)
 		if !present || pte.Frame != frames[vpn] {

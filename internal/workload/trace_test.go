@@ -225,9 +225,9 @@ func TestTraceMidstreamScalarFallback(t *testing.T) {
 // below two traces, attaching a second key evicts the first (least recently
 // attached), and re-attaching the first re-captures it.
 func TestTraceCacheBudgetEvicts(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	defer SetTraceCacheBudget(0)
+	TraceCache.Reset()
+	defer TraceCache.Reset()
+	defer TraceCache.SetBudget(0)
 
 	key := func(seed uint64) TraceKey {
 		cfg := kernel.DefaultConfig()
@@ -241,12 +241,12 @@ func TestTraceCacheBudgetEvicts(t *testing.T) {
 		return tr
 	}
 	a := grow(key(1))
-	SetTraceCacheBudget(a.Bytes() + a.Bytes()/2) // room for ~1.5 traces
+	TraceCache.SetBudget(a.Bytes() + a.Bytes()/2) // room for ~1.5 traces
 	grow(key(2))
 	// Traces grow after they are attached, so the budget bites at the next
 	// attach: re-attaching key 2 makes it most-recent and evicts key 1.
 	TraceFor(key(2))
-	st := TraceCacheStatsNow()
+	st := TraceCache.Stats()
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("after over-budget attach: %+v, want 1 entry / 1 eviction", st)
 	}

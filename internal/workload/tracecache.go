@@ -14,30 +14,16 @@ package workload
 // next cell that needs it.
 
 import (
-	"sync"
-
+	"hawkeye/internal/cache"
 	"hawkeye/internal/introspect"
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/trace"
 )
 
-// Like the snapshot cache, this cache's process-wide size is observable
-// live: trace_cache_entries, trace_cache_bytes and trace_cache_evict on the
-// introspect registry. replayHits is the process-wide twin of the per-run
-// trace_replay_hits counter — the scrape's collision rule makes it the one
-// /metrics reports, so it also covers machines whose recorders have been
-// detached or were never traced.
-func init() {
-	introspect.RegisterCache("trace_cache", func() introspect.CacheStats {
-		s := TraceCacheStatsNow()
-		return introspect.CacheStats{
-			Entries:       s.Entries,
-			ResidentBytes: s.ResidentBytes,
-			Evictions:     s.Evictions,
-		}
-	})
-}
-
+// replayHits is the process-wide twin of the per-run trace_replay_hits
+// counter — the scrape's collision rule makes it the one /metrics reports,
+// so it also covers machines whose recorders have been detached or were
+// never traced.
 var replayHits = introspect.GetCounter("trace_replay_hits")
 
 // TraceKey identifies one process access stream within a sweep: machine
@@ -52,25 +38,12 @@ type TraceKey struct {
 	ProcIndex int
 }
 
-type traceEntry struct {
-	tr *Trace
-	// lastUse is the cache-wide sequence number of the entry's most recent
-	// attach, guarded by tmu. Eviction removes the entry with the smallest
-	// lastUse.
-	lastUse int64
-}
-
-var (
-	tmu      sync.Mutex
-	tentries = make(map[TraceKey]*traceEntry)
-
-	// tbudgetBytes caps the summed Trace.Bytes of cached traces; 0 (the
-	// default) means unlimited. tseq and tevictions are cumulative counters
-	// guarded by tmu.
-	tbudgetBytes int64
-	tseq         int64
-	tevictions   int64
-)
+// TraceCache holds the recorded access streams, budgeted by Trace.Bytes
+// (read afresh at every use, so a trace's growth while it is captured is
+// charged at the next attach) and evicted least-recently-attached first.
+// Its process-wide size is observable live as trace_cache_entries,
+// trace_cache_bytes and trace_cache_evict on the introspect registry.
+var TraceCache = cache.New[TraceKey, *Trace]("trace_cache")
 
 // TraceFor returns the process-wide trace for key, creating an empty one on
 // first use, and reports how many traces this call evicted under the byte
@@ -79,102 +52,7 @@ var (
 func TraceFor(key TraceKey) (*Trace, int64) {
 	key.Cfg.Engine = nil
 	key.Cfg.Trace = nil
-	tmu.Lock()
-	defer tmu.Unlock()
-	e := tentries[key]
-	if e == nil {
-		e = &traceEntry{tr: NewTrace(key.Geom)}
-		tentries[key] = e
-	}
-	tseq++
-	e.lastUse = tseq
-	return e.tr, enforceTraceBudgetLocked(e)
-}
-
-// enforceTraceBudgetLocked evicts least-recently-attached traces until the
-// cache fits the byte budget, never evicting keep (the entry being attached
-// right now). Returns how many it evicted. Caller holds tmu.
-func enforceTraceBudgetLocked(keep *traceEntry) int64 {
-	if tbudgetBytes <= 0 {
-		return 0
-	}
-	var n int64
-	for traceResidentBytesLocked() > tbudgetBytes {
-		var victimKey TraceKey
-		var victim *traceEntry
-		// Selection by unique minimum lastUse: iteration order over the map
-		// cannot change which entry wins.
-		for k, e := range tentries {
-			if e == keep {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				//lint:allow determinism victim has the unique smallest lastUse
-				victim, victimKey = e, k
-			}
-		}
-		if victim == nil {
-			break // nothing evictable: budget smaller than the live trace
-		}
-		delete(tentries, victimKey)
-		tevictions++
-		n++
-	}
-	return n
-}
-
-// traceResidentBytesLocked sums the cached traces' byte footprints. Caller
-// holds tmu.
-func traceResidentBytesLocked() int64 {
-	var total int64
-	for _, e := range tentries {
-		//lint:allow determinism order-insensitive integer sum
-		total += e.tr.Bytes()
-	}
-	return total
-}
-
-// SetTraceCacheBudget caps the trace cache's resident bytes (as reported by
-// Trace.Bytes); 0 restores the default, unlimited. Lowering the budget
-// evicts immediately. As with the snapshot cache, a finite budget makes hit
-// and eviction counts timing-dependent across parallel workers; simulation
-// outputs are bit-identical regardless, because replayed and re-captured
-// streams are the same stream.
-func SetTraceCacheBudget(n int64) {
-	tmu.Lock()
-	defer tmu.Unlock()
-	tbudgetBytes = n
-	enforceTraceBudgetLocked(nil)
-}
-
-// TraceCacheStats is a point-in-time view of the trace cache.
-type TraceCacheStats struct {
-	Entries       int   // cached traces
-	ResidentBytes int64 // summed Trace.Bytes of cached traces
-	Evictions     int64 // cumulative evictions since process start / Reset
-}
-
-// TraceCacheStatsNow reports the cache's current size and cumulative
-// eviction count.
-func TraceCacheStatsNow() TraceCacheStats {
-	tmu.Lock()
-	defer tmu.Unlock()
-	return TraceCacheStats{
-		Entries:       len(tentries),
-		ResidentBytes: traceResidentBytesLocked(),
-		Evictions:     tevictions,
-	}
-}
-
-// ResetTraceCache drops every cached trace and zeroes the recency/eviction
-// counters (test isolation / memory release). The byte budget is
-// configuration, not cache state, and survives Reset.
-func ResetTraceCache() {
-	tmu.Lock()
-	tentries = make(map[TraceKey]*traceEntry)
-	tseq = 0
-	tevictions = 0
-	tmu.Unlock()
+	return TraceCache.Get(key, func() *Trace { return NewTrace(key.Geom) })
 }
 
 // AttachReplay swaps the instance's steady phase onto the process-wide
