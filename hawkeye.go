@@ -200,7 +200,7 @@ func NewSim(o Options) *Sim {
 // trace_cache_evict counters surfacing in vmstat when tracing is on.
 func (s *Sim) AddWorkload(name string) *RunningWorkload {
 	inst := workload.NewByName(name, s.Scale)
-	if inst.Sampler != nil && !s.cfg.ScalarPath {
+	if inst.Sampler != nil {
 		inst.AttachReplay(workload.TraceKey{
 			Cfg:       s.cfg,
 			Keep:      s.keep,
@@ -231,13 +231,19 @@ func (s *Sim) MustRun(deadline Time) {
 	}
 }
 
-// Report summarizes one workload's execution.
+// Report summarizes one workload's execution. A process the kernel killed
+// for lack of memory ends its line with "oom-killed": its memory is already
+// released, so its rss and huge-mapped figures read 0.
 func (s *Sim) Report(rw *RunningWorkload) string {
 	p := rw.Proc
-	return fmt.Sprintf(
+	line := fmt.Sprintf(
 		"%s: runtime=%v work=%.1fs mmu-overhead=%.2f%% faults=%d (huge %d) rss=%dMB huge-mapped=%d",
 		p.Name(), p.Runtime(s.K.Now()), p.WorkDone, 100*p.PMU.Overhead(),
 		p.Acct.Faults, p.Acct.HugeFaults, p.VP.RSSBytes()>>20, p.VP.HugeMapped())
+	if p.OOMKilled {
+		line += " oom-killed"
+	}
+	return line
 }
 
 // Workloads lists the catalog workload names.

@@ -51,6 +51,24 @@ func TestSimEndToEnd(t *testing.T) {
 	if !strings.Contains(report, "sequential") || !strings.Contains(report, "runtime=") {
 		t.Fatalf("bad report: %s", report)
 	}
+	if strings.Contains(report, "oom-killed") {
+		t.Fatalf("finished workload reported as OOM-killed: %s", report)
+	}
+}
+
+// TestReportMarksOOMKill runs a workload on a machine far too small for
+// it: the kernel OOM-kills the process, which must say so in its report
+// line rather than read as a run that did nothing.
+func TestReportMarksOOMKill(t *testing.T) {
+	sim := NewSim(Options{MemoryBytes: 48 << 20})
+	w := sim.AddWorkload("cg.D")
+	sim.MustRun(0)
+	if !w.Proc.OOMKilled {
+		t.Fatal("cg.D was not OOM-killed on a 48 MiB machine")
+	}
+	if report := sim.Report(w); !strings.HasSuffix(report, " oom-killed") {
+		t.Fatalf("report of a killed process lacks the mark: %s", report)
+	}
 }
 
 func TestSimFragmented(t *testing.T) {

@@ -62,8 +62,13 @@ func New[K comparable, V interface{ Bytes() int64 }](name string) *Cache[K, V] {
 // Get returns the value for key, calling build to make it if the cache has
 // none, and reports how many entries this call evicted to fit the budget.
 // build runs outside the cache's lock, once per key however many
-// goroutines ask.
+// goroutines ask. A key that is not equal to itself (one holding a NaN)
+// could never be found or deleted once stored, so its value is built for
+// this call alone and not kept.
 func (c *Cache[K, V]) Get(key K, build func() V) (V, int64) {
+	if key != key {
+		return build(), 0
+	}
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {

@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // blob is a cached value whose size the test sets, and may change after Get
@@ -215,5 +217,33 @@ func TestBuildingEntryIsNeverEvicted(t *testing.T) {
 	v := <-done
 	if again, _ := c.Get("slow", func() *blob { return newBlob(100) }); again != v {
 		t.Fatal("the built entry was not kept")
+	}
+}
+
+// TestSelfUnequalKeyIsNotStored: a key that never equals itself (a NaN)
+// can be neither found nor deleted once it is in a map. Get must build its
+// value without storing it: otherwise every Get adds an unreachable entry,
+// and a budget below two of them makes the evict loop pick one it cannot
+// delete and spin with the lock held — hence the timeout.
+func TestSelfUnequalKeyIsNotStored(t *testing.T) {
+	c := New[float64, *blob]("cache_test")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2; i++ {
+			v, n := c.Get(math.NaN(), func() *blob { return newBlob(10) })
+			if v == nil || v.Bytes() != 10 || n != 0 {
+				t.Errorf("get %d of a NaN key = (%v, %d evicted), want a built value and 0", i, v, n)
+			}
+		}
+		c.SetBudget(15)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("SetBudget over NaN-keyed entries did not return")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 || st.Evictions != 0 {
+		t.Fatalf("stats after NaN-keyed gets = %+v, want an empty cache", st)
 	}
 }

@@ -150,28 +150,6 @@ func (s *Store) Write(f mem.FrameID) {
 	s.fnz.Set(int(f), s.firstNonZero())
 }
 
-// WriteRepeat records n consecutive Write calls to the same frame in closed
-// form. Only the final write's hash and first-non-zero offset are
-// observable — each write overwrites the previous — and Write consumes
-// exactly two generator draws regardless of the values drawn (the hash
-// Uint64 and the Float64 inside GeometricTable.Draw; one draw when the
-// generator is drawless, mean <= 0), so the first n-1 writes reduce to
-// advancing the stream and the last runs in full. State and stream position
-// are bit-identical to n scalar Write calls.
-func (s *Store) WriteRepeat(f mem.FrameID, n int) {
-	if n <= 0 {
-		return
-	}
-	draws := n - 1 // hash draw per skipped write
-	if s.MeanFirstNonZero > 0 {
-		draws *= 2 // plus the first-non-zero draw
-	}
-	for i := 0; i < draws; i++ {
-		s.rng.Uint64()
-	}
-	s.Write(f)
-}
-
 // WriteShared records a write of logically shared data (e.g. a page of a VM
 // kernel image): pages written with the same key collide, so same-page
 // merging can find them.

@@ -39,12 +39,6 @@ type Options struct {
 	// throughput) for this run. It never influences results, so runs with
 	// and without it are byte-identical.
 	Metrics *Metrics
-	// Scalar forces every machine the experiment builds onto the scalar
-	// (one access at a time) reference path instead of the batched
-	// run-length pipeline. Output is byte-identical either way — the
-	// golden equivalence test in internal/runner holds the two paths to
-	// that contract.
-	Scalar bool
 	// Trace, when non-nil, enables the event-tracing/counter subsystem on
 	// every machine the experiment builds. Tracing is passive: it never
 	// influences scheduling or results, so runs with and without it emit
@@ -56,7 +50,7 @@ type Options struct {
 	// NoSnapshotCache disables the warm-up snapshot cache: every machine is
 	// built (and fragmented) from scratch instead of forked from a cached
 	// snapshot. Output is byte-identical either way — the fork path is held
-	// to that contract by TestSnapshotForkMatchesFresh — so this is an
+	// to that contract by TestCachedMatchesUncached — so this is an
 	// escape hatch for timing the uncached path and for A/B-ing the cache
 	// itself (hawkeye-bench -no-snapshot-cache).
 	NoSnapshotCache bool
@@ -65,8 +59,9 @@ type Options struct {
 	// trace. Output is byte-identical either way — replay serves the exact
 	// run sequence live sampling would produce and asserts the RNG stream
 	// stays in lockstep (TestSweepReplayMatchesLive holds the whole sweep
-	// pipeline to that contract) — so, like NoSnapshotCache, this is an
-	// escape hatch for timing and A/B-ing (hawkeye-bench -no-trace-cache).
+	// pipeline to that contract, TestCachedMatchesUncached every
+	// experiment) — so, like NoSnapshotCache, this is an escape hatch for
+	// timing and A/B-ing (hawkeye-bench -no-trace-cache).
 	NoTraceCache bool
 }
 
@@ -356,14 +351,13 @@ func Run(id string, o Options) (*Table, error) {
 // --- shared machinery -----------------------------------------------------
 
 // kernelConfig returns the default machine configuration with the options'
-// cross-cutting knobs (seed, memory, execution path) applied. Experiments
-// that build kernels directly must start from this so the scalar-oracle
-// switch reaches every machine.
+// cross-cutting knobs (seed, memory, tracing) applied. Experiments that
+// build kernels directly must start from this so those knobs reach every
+// machine.
 func (o Options) kernelConfig() kernel.Config {
 	cfg := kernel.DefaultConfig()
 	cfg.MemoryBytes = o.MemoryBytes
 	cfg.Seed = o.Seed
-	cfg.ScalarPath = o.Scalar
 	cfg.Trace = o.Trace
 	return cfg
 }
@@ -413,15 +407,11 @@ type runResult struct {
 	HugeMapped mem.Regions // huge mappings when the run ended
 }
 
-// replays reports whether runConcurrent attaches its instances to the
-// process-wide access-trace cache under these options.
-func (o Options) replays() bool { return !o.Scalar && !o.NoTraceCache }
-
 // runConcurrent runs the given workload instances together under one policy
 // and collects results. fragmentKeep > 0 pre-fragments the machine.
 func runConcurrent(o Options, pol kernel.Policy, insts []*workload.Instance, names []string, fragmentKeep float64, deadline sim.Time) ([]runResult, *kernel.Kernel, error) {
 	k := newKernelFragmented(o, pol, fragmentKeep, kernel.DefaultPinnedChunkFrac)
-	if o.replays() {
+	if !o.NoTraceCache {
 		// Swap each instance's steady phase onto the shared recorded trace.
 		// The key pins everything its stream depends on: the machine
 		// configuration (seed, quantum sampling), the fragmentation warm-up

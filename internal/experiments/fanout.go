@@ -50,7 +50,7 @@ func fanOut[R any](o Options, n int, job func(o Options, i int) (R, error)) ([]R
 // trace_cache_bytes counters record which machine captured each chunk of a
 // shared trace first, which is the order the jobs ran in.
 func fanOutReplay[R any](o Options, n int, job func(o Options, i int) (R, error)) ([]R, error) {
-	if o.Trace == nil || !o.replays() {
+	if o.Trace == nil || o.NoTraceCache {
 		return fanOut(o, n, job)
 	}
 	out := make([]R, n)

@@ -32,12 +32,6 @@ type Config struct {
 	// SamplesPerQuantum controls the TLB-simulation sampling density of
 	// SteadyRun.
 	SamplesPerQuantum int
-	// ScalarPath forces the scalar (one access at a time) reference
-	// implementations of SteadyRun and Populate instead of the batched
-	// run-length pipeline. The batched path is bit-identical by
-	// construction; the scalar path is kept as the oracle the golden
-	// equivalence test compares against.
-	ScalarPath bool
 	// Engine, when non-nil, co-simulates this kernel on an existing engine
 	// (guest machines share the host's clock). Kernels on a shared engine
 	// never auto-stop it.
@@ -115,8 +109,7 @@ type Proc struct {
 	WorkDone float64
 
 	rng *sim.Rand
-	// runBuf is the reusable per-quantum trace buffer of the batched
-	// steady-state path.
+	// runBuf is the reusable per-quantum access buffer of SteadyRun.
 	runBuf []AccessRun
 }
 

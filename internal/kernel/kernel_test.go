@@ -170,8 +170,11 @@ type steadySampler struct {
 	profile AccessProfile
 }
 
-func (s *steadySampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
-	return vmm.VPN(r.Int63n(s.pages)), false
+func (s *steadySampler) SampleRun(r *sim.Rand, buf []AccessRun, n int) []AccessRun {
+	for i := 0; i < n; i++ {
+		buf = AppendAccess(buf, vmm.VPN(r.Int63n(s.pages)), false)
+	}
+	return buf
 }
 func (s *steadySampler) Profile() AccessProfile { return s.profile }
 
@@ -376,22 +379,6 @@ func TestNestedWalksRaiseOverhead(t *testing.T) {
 	}
 }
 
-func TestEstimateMMUOverheadDoesNotAdvanceWork(t *testing.T) {
-	k := newTestKernel(t, 256, DecideBase)
-	p := k.Spawn("t", &touchRange{start: 0, end: 512 * 8})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	before := p.WorkDone
-	ov := k.EstimateMMUOverhead(p, &steadySampler{pages: 512 * 8, profile: AccessProfile{Locality: 1, CyclesPerAccess: 250}}, 1024)
-	if p.WorkDone != before {
-		t.Fatal("estimate advanced work")
-	}
-	if ov <= 0 {
-		t.Fatalf("estimate = %v, want > 0 for 4K mappings over big set", ov)
-	}
-}
-
 func TestTLBConsistencyAcrossPromotion(t *testing.T) {
 	k := newTestKernel(t, 64, DecideBase)
 	p := k.Spawn("t", &touchRange{start: 0, end: 512})
@@ -408,8 +395,11 @@ func TestTLBConsistencyAcrossPromotion(t *testing.T) {
 	}
 	// After promotion the old 4 KB entries must be gone; accesses now use
 	// the huge array. Just verify nothing panics and overhead drops.
-	ovHuge := k.EstimateMMUOverhead(p, s, 2048)
-	if ovHuge > 0.2 {
-		t.Fatalf("overhead after promotion = %.3f", ovHuge)
+	res, err := k.SteadyRun(p, sim.Second, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MMUOverhead > 0.2 {
+		t.Fatalf("overhead after promotion = %.3f", res.MMUOverhead)
 	}
 }

@@ -20,11 +20,33 @@ type AccessProfile struct {
 	CyclesPerAccess float64
 }
 
+// AccessRun is a run-length-encoded span of a workload's access trace:
+// Count back-to-back accesses to the page Start, all reads or all writes.
+type AccessRun struct {
+	Start vmm.VPN
+	Count int
+	Write bool
+}
+
 // AccessSampler produces a representative stream of virtual page accesses
 // for a workload's current phase.
 type AccessSampler interface {
-	Sample(r *sim.Rand) (vpn vmm.VPN, write bool)
+	// SampleRun draws n accesses from r and appends them to buf run-length
+	// encoded (see AppendAccess).
+	SampleRun(r *sim.Rand, buf []AccessRun, n int) []AccessRun
 	Profile() AccessProfile
+}
+
+// AppendAccess appends one access to buf, merging it into the last run when
+// it repeats that run's page and mode — the encoding every SampleRun emits.
+func AppendAccess(buf []AccessRun, vpn vmm.VPN, write bool) []AccessRun {
+	if m := len(buf); m > 0 {
+		if last := &buf[m-1]; last.Start == vpn && last.Write == write {
+			last.Count++
+			return buf
+		}
+	}
+	return append(buf, AccessRun{Start: vpn, Count: 1, Write: write})
 }
 
 // SteadyResult reports one SteadyRun quantum.
@@ -40,50 +62,50 @@ type SteadyResult struct {
 // charges the process PMU, and converts the remainder into useful work.
 // Faults encountered by sampled accesses (lazy population, COW refaults
 // after dedup) are resolved and charged.
+//
+// The quantum's accesses are drawn up front and then executed one by one.
+// Kernel work never consumes the process RNG, so drawing first leaves the
+// stream exactly where drawing between accesses would.
 func (k *Kernel) SteadyRun(p *Proc, dur sim.Time, s AccessSampler) (SteadyResult, error) {
-	if !k.Cfg.ScalarPath {
-		if rs, ok := s.(RunSampler); ok {
-			return k.steadyRunBatched(p, dur, rs)
-		}
-	}
 	var res SteadyResult
 	if dur <= 0 {
 		return res, nil
 	}
-	samples := k.Cfg.SamplesPerQuantum
-	if samples < 64 {
-		samples = 64
-	}
+	samples := max(k.Cfg.SamplesPerQuantum, 64)
 	prof := s.Profile()
 	pid := int32(p.VP.PID)
 	var walkTotal sim.Cycles
 	var faultCost sim.Time
-	for i := 0; i < samples; i++ {
-		vpn, write := s.Sample(p.rng)
-		c, err := k.touch(p, vpn, write, 0, false)
-		if err != nil {
-			return res, err
-		}
-		faultCost += c
-		pte, huge, present := p.VP.Lookup(vpn)
-		_ = pte
-		if !present {
-			continue
-		}
-		page := int64(vpn)
-		if huge {
-			page = int64(vmm.RegionOf(vpn))
-		}
-		switch k.TLB.Access(pid, page, huge) {
-		case tlb.HitL1:
-		case tlb.HitL2:
-			walkTotal += sim.Cycles(k.Cfg.TLB.L2HitCycles)
-		case tlb.Miss:
-			w := k.TLB.WalkCycles(prof.Locality, huge, p.Nested)
-			if p.Nested && p.NestedDiscount > 0 {
-				w = w.Scale(p.NestedDiscount)
+	if p.runBuf == nil {
+		p.runBuf = getRunBuf()
+	}
+	p.runBuf = s.SampleRun(p.rng, p.runBuf[:0], samples)
+	for _, run := range p.runBuf {
+		for range run.Count {
+			c, err := k.touch(p, run.Start, run.Write, 0, false)
+			if err != nil {
+				return res, err
 			}
-			walkTotal += w
+			faultCost += c
+			_, huge, present := p.VP.Lookup(run.Start)
+			if !present {
+				continue
+			}
+			page := int64(run.Start)
+			if huge {
+				page = int64(vmm.RegionOf(run.Start))
+			}
+			switch k.TLB.Access(pid, page, huge) {
+			case tlb.HitL1:
+			case tlb.HitL2:
+				walkTotal += sim.Cycles(k.Cfg.TLB.L2HitCycles)
+			case tlb.Miss:
+				w := k.TLB.WalkCycles(prof.Locality, huge, p.Nested)
+				if p.Nested && p.NestedDiscount > 0 {
+					w = w.Scale(p.NestedDiscount)
+				}
+				walkTotal += w
+			}
 		}
 	}
 	avgWalk := float64(walkTotal) / float64(samples)
@@ -103,46 +125,4 @@ func (k *Kernel) SteadyRun(p *Proc, dur sim.Time, s AccessSampler) (SteadyResult
 	res.WorkSeconds = work
 	res.MMUOverhead = overhead
 	return res, nil
-}
-
-// EstimateMMUOverhead probes the TLB model with the sampler without
-// advancing work or charging the PMU — a cheap "what would the overhead be
-// right now" oracle used by experiments and tests. The TLB state is
-// perturbed exactly as a real measurement would perturb it.
-func (k *Kernel) EstimateMMUOverhead(p *Proc, s AccessSampler, samples int) float64 {
-	if samples <= 0 {
-		samples = k.Cfg.SamplesPerQuantum
-	}
-	prof := s.Profile()
-	pid := int32(p.VP.PID)
-	var walkTotal sim.Cycles
-	counted := 0
-	for i := 0; i < samples; i++ {
-		vpn, _ := s.Sample(p.rng)
-		_, huge, present := p.VP.Lookup(vpn)
-		if !present {
-			continue
-		}
-		counted++
-		page := int64(vpn)
-		if huge {
-			page = int64(vmm.RegionOf(vpn))
-		}
-		switch k.TLB.Access(pid, page, huge) {
-		case tlb.HitL1:
-		case tlb.HitL2:
-			walkTotal += sim.Cycles(k.Cfg.TLB.L2HitCycles)
-		case tlb.Miss:
-			w := k.TLB.WalkCycles(prof.Locality, huge, p.Nested)
-			if p.Nested && p.NestedDiscount > 0 {
-				w = w.Scale(p.NestedDiscount)
-			}
-			walkTotal += w
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	avgWalk := float64(walkTotal) / float64(counted)
-	return avgWalk / (prof.CyclesPerAccess + avgWalk)
 }

@@ -27,7 +27,7 @@ import (
 // Forks replay a machine under the repo's bit-identity contract: a policy
 // run forked from a snapshot produces byte-identical tables to the same run
 // on a freshly built machine (golden-enforced by
-// TestSnapshotForkMatchesFresh).
+// TestCachedMatchesUncached).
 //
 // A Snapshot is immutable after capture. Forking only reads it, so any
 // number of goroutines may Fork the same Snapshot concurrently — this is

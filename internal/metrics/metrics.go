@@ -1,61 +1,9 @@
-// Package metrics provides the small statistical toolkit the simulator's
-// policies and experiments share: exponential moving averages (HawkEye's
-// access-coverage estimator), log-bucketed latency histograms with
-// percentile queries (fault-latency tails, Fig. 11's "significant tail
-// latency reduction"), and simple online mean/max accumulators.
+// Package metrics provides the log-bucketed latency histogram the fault
+// model keeps per process, with percentile queries (fault-latency tails,
+// Fig. 11's "significant tail latency reduction").
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
-
-// EMA is an exponential moving average with configurable weight for new
-// samples. The zero value (Alpha 0) treats the first Update as the mean.
-type EMA struct {
-	Alpha float64
-	val   float64
-	init  bool
-}
-
-// DefaultAlpha is the new-sample weight used when an EMA is constructed
-// with, or has its Alpha field set to, a value outside the valid range.
-const DefaultAlpha = 0.5
-
-// NewEMA returns an EMA with the given new-sample weight. Valid alphas lie
-// in (0, 1]; anything else — zero, negative, above one, or NaN — is clamped
-// to DefaultAlpha here, matching the substitution Update applies when the
-// Alpha field is set out of range directly.
-func NewEMA(alpha float64) *EMA {
-	if !(alpha > 0 && alpha <= 1) {
-		alpha = DefaultAlpha
-	}
-	return &EMA{Alpha: alpha}
-}
-
-// Update folds in a sample and returns the new average. An Alpha outside
-// (0, 1] — including the zero value and NaN — is treated as DefaultAlpha
-// for this update; the field itself is left untouched.
-func (e *EMA) Update(x float64) float64 {
-	if !e.init {
-		e.val = x
-		e.init = true
-		return x
-	}
-	a := e.Alpha
-	if !(a > 0 && a <= 1) {
-		a = DefaultAlpha
-	}
-	e.val = a*x + (1-a)*e.val
-	return e.val
-}
-
-// Value returns the current average (0 before any update).
-func (e *EMA) Value() float64 { return e.val }
-
-// Initialized reports whether any sample has been folded in.
-func (e *EMA) Initialized() bool { return e.init }
+import "math"
 
 // Histogram is a log2-bucketed histogram for positive values (latencies in
 // µs, sizes in pages). Bucket i covers [2^i, 2^(i+1)); values < 1 land in
@@ -134,87 +82,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.max
 }
-
-// String renders count/mean/p50/p99/max compactly.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50≤%.0f p99≤%.0f max=%.0f",
-		h.count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.max)
-}
-
-// barBound formats one bucket boundary (2^i): plain integers up to 2^20,
-// scientific notation above, so labels stay short for any of the 64 buckets.
-func barBound(i int) string {
-	v := math.Pow(2, float64(i))
-	if v < 1<<20 {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.2e", v)
-}
-
-// Bars renders an ASCII sketch of the non-empty buckets. Bound labels are
-// right-aligned to the widest bound in view (scientific notation from 2^20
-// up), so columns stay aligned however large the observations were.
-func (h *Histogram) Bars(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	var peak uint64
-	lo, hi := -1, -1
-	for i, c := range h.buckets {
-		if c > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-			if c > peak {
-				peak = c
-			}
-		}
-	}
-	if lo < 0 {
-		return "(empty)"
-	}
-	labelW := 6
-	for i := lo; i <= hi+1; i++ {
-		if n := len(barBound(i)); n > labelW {
-			labelW = n
-		}
-	}
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		n := int(float64(h.buckets[i]) / float64(peak) * float64(width))
-		fmt.Fprintf(&b, "[%*s,%*s) %s %d\n",
-			labelW, barBound(i), labelW, barBound(i+1),
-			strings.Repeat("#", n), h.buckets[i])
-	}
-	return b.String()
-}
-
-// Welford is an online mean/variance accumulator.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add folds in one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Mean reports the sample mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// StdDev reports the sample standard deviation (0 for n < 2).
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
-// N reports the sample count.
-func (w *Welford) N() uint64 { return w.n }

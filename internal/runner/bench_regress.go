@@ -33,7 +33,6 @@ import (
 	"hawkeye/internal/mem"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/tlb"
-	"hawkeye/internal/trace"
 	"hawkeye/internal/vmm"
 	"hawkeye/internal/workload"
 )
@@ -121,16 +120,14 @@ type Tier0Bench struct {
 	Setup func() func()
 }
 
-// Tier0Benchmarks returns the guarded set: the kernel touch paths (scalar
-// and batched), TLB translation (scalar and batched), the access-bit scan,
-// and two full quick experiment runs.
+// Tier0Benchmarks returns the guarded set: the kernel touch path, TLB
+// translation, the access-bit scan, the snapshot fork, two full quick
+// experiment runs, a sweep cell and its replayed steady quantum, and the
+// disabled-instrumentation floor.
 func Tier0Benchmarks() []Tier0Bench {
 	return []Tier0Bench{
 		{Name: "touch", Iters: 2_000_000, Reps: 3, Setup: setupTouch},
-		{Name: "touch_run", Iters: 2_000_000, Reps: 3, Setup: setupTouchRun},
-		{Name: "touch_run_traced", Iters: 2_000_000, Reps: 3, Setup: setupTouchRunTraced},
 		{Name: "tlb_access", Iters: 1_000_000, Reps: 3, Setup: setupTLBAccess},
-		{Name: "tlb_access_run", Iters: 1_000_000, Reps: 3, Setup: setupTLBAccessRun},
 		{Name: "access_scan", Iters: 1_000_000, Reps: 3, Setup: setupAccessScan},
 		{Name: "snapshot_fork_cow", Iters: 100, Reps: 3, Setup: setupSnapshotForkCOW},
 		// table3 runs before fig5: fig5's machines fork from the process-wide
@@ -244,59 +241,6 @@ func setupTouch() func() {
 	}
 }
 
-// setupTouchRun exercises the batched dwell path (kernel.TouchRun): one
-// resolved probe on a settled mapping, closed-form repeat accounting, and
-// the TLB charge via AccessRun — the per-run body of the batched steady
-// loop.
-func setupTouchRun() func() {
-	cfg := kernel.DefaultConfig()
-	cfg.MemoryBytes = 256 << 20
-	k := kernel.New(cfg, nil)
-	p := k.Spawn("bench", nil)
-	const pages = 4 * mem.HugePages
-	for v := vmm.VPN(0); v < pages; v++ {
-		if _, err := k.Touch(p, v, false); err != nil {
-			panic(err)
-		}
-	}
-	prof := kernel.AccessProfile{Locality: 1, CyclesPerAccess: 250}
-	var i int
-	return func() {
-		run := kernel.AccessRun{Start: vmm.VPN(i & (pages - 1)), Count: 64}
-		if _, err := k.TouchRun(p, run, &prof); err != nil {
-			panic(err)
-		}
-		i++
-	}
-}
-
-// setupTouchRunTraced is setupTouchRun with the tracing subsystem enabled —
-// it bounds the observability overhead on the hottest batched path (the
-// acceptance bar is <= 15% over touch_run; in practice the settled TouchRun
-// path has no per-run hook, so the cost is the disabled-branch noise floor).
-func setupTouchRunTraced() func() {
-	cfg := kernel.DefaultConfig()
-	cfg.MemoryBytes = 256 << 20
-	cfg.Trace = &trace.Config{}
-	k := kernel.New(cfg, nil)
-	p := k.Spawn("bench", nil)
-	const pages = 4 * mem.HugePages
-	for v := vmm.VPN(0); v < pages; v++ {
-		if _, err := k.Touch(p, v, false); err != nil {
-			panic(err)
-		}
-	}
-	prof := kernel.AccessProfile{Locality: 1, CyclesPerAccess: 250}
-	var i int
-	return func() {
-		run := kernel.AccessRun{Start: vmm.VPN(i & (pages - 1)), Count: 64}
-		if _, err := k.TouchRun(p, run, &prof); err != nil {
-			panic(err)
-		}
-		i++
-	}
-}
-
 // setupTLBAccess drives a random miss-heavy translation stream through the
 // two-level TLB (set indexing, LRU insertion, eviction).
 func setupTLBAccess() func() {
@@ -304,17 +248,6 @@ func setupTLBAccess() func() {
 	r := sim.NewRand(1)
 	return func() {
 		t.Access(1, r.Int63n(1<<22), false)
-	}
-}
-
-// setupTLBAccessRun drives the batched translation path: one scalar access
-// plus a closed-form repeat bump per run, interleaved with misses so both
-// the hit and fill sides of AccessRun stay exercised.
-func setupTLBAccessRun() func() {
-	t := tlb.New(tlb.HaswellEP())
-	r := sim.NewRand(1)
-	return func() {
-		t.AccessRun(1, r.Int63n(1<<22), false, 64)
 	}
 }
 

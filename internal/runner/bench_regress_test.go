@@ -201,13 +201,10 @@ func updateBaseline(t *testing.T) {
 
 // Standard go-bench wrappers over the same tier-0 bodies, so
 // `go test ./internal/runner -bench Tier0` explores them interactively.
-func BenchmarkTier0Touch(b *testing.B)          { runTier0(b, "touch") }
-func BenchmarkTier0TouchRun(b *testing.B)       { runTier0(b, "touch_run") }
-func BenchmarkTier0TouchRunTraced(b *testing.B) { runTier0(b, "touch_run_traced") }
-func BenchmarkTier0TLBAccess(b *testing.B)      { runTier0(b, "tlb_access") }
-func BenchmarkTier0TLBAccessRun(b *testing.B)   { runTier0(b, "tlb_access_run") }
-func BenchmarkTier0AccessScan(b *testing.B)     { runTier0(b, "access_scan") }
-func BenchmarkTier0SweepCell(b *testing.B)      { runTier0(b, "sweep_cell") }
+func BenchmarkTier0Touch(b *testing.B)      { runTier0(b, "touch") }
+func BenchmarkTier0TLBAccess(b *testing.B)  { runTier0(b, "tlb_access") }
+func BenchmarkTier0AccessScan(b *testing.B) { runTier0(b, "access_scan") }
+func BenchmarkTier0SweepCell(b *testing.B)  { runTier0(b, "sweep_cell") }
 func BenchmarkTier0SweepCellSteady(b *testing.B) {
 	runTier0(b, "sweep_cell_steady")
 }

@@ -6,14 +6,17 @@ import (
 	"hawkeye/internal/experiments"
 )
 
-// TestBatchedMatchesScalarGolden is the batched-pipeline equivalence gate:
-// every registered experiment runs twice in quick mode — once on the scalar
-// reference path (Options.Scalar) and once on the batched run-length
-// pipeline — and the rendered tables must be byte-identical. The batched
-// path earns its speedup purely by charging repeats in closed form, so any
-// divergence (an RNG draw out of order, a TLB tick miscounted, a float
-// summed in a different order) is a bug, not noise.
-func TestBatchedMatchesScalarGolden(t *testing.T) {
+// TestCachedMatchesUncached is the fast-path equivalence gate: every
+// registered experiment runs twice in quick mode — once on the reference
+// path, with NoSnapshotCache building and fragmenting every machine from
+// scratch and NoTraceCache sampling every access stream live, and once with
+// both process-wide caches on, forking fragmented machines from snapshots
+// and replaying recorded streams — and the rendered tables must be
+// byte-identical. The caches earn their speedup purely by reusing state the
+// reference path would recompute, so any divergence (a substrate field
+// missed by a clone, a chunk served at the wrong RNG state, an event
+// scheduled in a different order) is a bug, not noise.
+func TestCachedMatchesUncached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice; skipped in -short")
 	}
@@ -21,30 +24,31 @@ func TestBatchedMatchesScalarGolden(t *testing.T) {
 		// The comparison is about deterministic output equality, which race
 		// instrumentation cannot affect; under -race the double full run
 		// blows the package test timeout without adding coverage (the race
-		// suite still executes every experiment via the parallel-runner
-		// tests).
+		// suite still executes every experiment, and concurrent forks, via
+		// the parallel-runner tests).
 		t.Skip("skipped under -race: ~10x slower and race-insensitive by construction")
 	}
 	ids := experiments.IDs()
 	opts := testOpts()
 
-	scalarOpts := opts
-	scalarOpts.Scalar = true
-	scalar := make(map[string]string, len(ids))
-	for _, res := range Run(ids, scalarOpts, 0) {
+	refOpts := opts
+	refOpts.NoSnapshotCache = true
+	refOpts.NoTraceCache = true
+	ref := make(map[string]string, len(ids))
+	for _, res := range Run(ids, refOpts, 0) {
 		if res.Error != "" {
-			t.Fatalf("scalar %s: %s", res.ID, res.Error)
+			t.Fatalf("uncached %s: %s", res.ID, res.Error)
 		}
-		scalar[res.ID] = res.Table
+		ref[res.ID] = res.Table
 	}
 
 	for _, res := range Run(ids, opts, 0) {
 		if res.Error != "" {
-			t.Fatalf("batched %s: %s", res.ID, res.Error)
+			t.Fatalf("cached %s: %s", res.ID, res.Error)
 		}
-		if res.Table != scalar[res.ID] {
-			t.Errorf("%s: batched output differs from scalar reference\nscalar:\n%s\nbatched:\n%s",
-				res.ID, scalar[res.ID], res.Table)
+		if res.Table != ref[res.ID] {
+			t.Errorf("%s: cached output differs from the uncached reference\nuncached:\n%s\ncached:\n%s",
+				res.ID, ref[res.ID], res.Table)
 		}
 	}
 }

@@ -28,19 +28,6 @@ func BenchmarkTLBAccessMissStream(b *testing.B) {
 	}
 }
 
-// BenchmarkTLBAccessRun measures the batched translation path: one scalar
-// access plus a closed-form repeat bump per run, interleaved with misses so
-// both the hit and fill sides of AccessRun stay exercised.
-func BenchmarkTLBAccessRun(b *testing.B) {
-	t := New(HaswellEP())
-	r := sim.NewRand(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.AccessRun(1, r.Int63n(1<<22), false, 64)
-	}
-}
-
 func BenchmarkInvalidateRegion(b *testing.B) {
 	t := New(HaswellEP())
 	r := sim.NewRand(1)

@@ -251,21 +251,6 @@ func (s *setAssoc) fill(victim int, key entryKey, page int64) {
 	s.lrus[base+victim] = s.tick
 }
 
-// touchRepeats applies n guaranteed L1 hits to an entry in closed form: n
-// scalar lookups would each advance the tick once and restamp the entry's
-// lru with it, leaving only the final stamp observable.
-func (s *setAssoc) touchRepeats(key entryKey, page int64, n int64) {
-	s.tick += uint64(n)
-	base := s.setBase(page)
-	for i := 0; i < s.assoc; i++ {
-		if s.keys[base+i] == key {
-			s.lrus[base+i] = s.tick
-			return
-		}
-	}
-	panic("tlb: touchRepeats on absent entry")
-}
-
 // invalidatePID drops every entry of a process. A specialized loop (rather
 // than a callback-per-entry matcher) keeps this allocation-free and
 // branch-predictable — it runs on every process exit and large unmap.
@@ -331,7 +316,7 @@ type TLB struct {
 	flushFills uint64
 
 	// Tracing hooks (nil when disabled). Only the invalidation paths emit;
-	// Access/AccessRun — the translation hot path — stay untouched.
+	// Access — the translation hot path — stays untouched.
 	tr           *trace.Recorder
 	ctrShootdown *trace.Counter
 }
@@ -414,29 +399,6 @@ func (t *TLB) Access(pid int32, page int64, huge bool) Outcome {
 	l1.fill(l1Victim, key, page)
 	t.l2.fill(l2Victim, key, page)
 	return Miss
-}
-
-// AccessRun translates count back-to-back accesses to the same (pid, page):
-// the first goes through the full hierarchy like Access; the remaining
-// count-1 repeats are then guaranteed L1 hits — the entry was just installed
-// or refreshed and nothing can evict it in between — so their effect on the
-// LRU state and the counters is applied in closed form. The resulting TLB
-// state and counters are bit-identical to count scalar Access calls. It
-// returns the first access's outcome and the number of closed-form repeats.
-func (t *TLB) AccessRun(pid int32, page int64, huge bool, count int64) (first Outcome, repeats int64) {
-	first = t.Access(pid, page, huge)
-	repeats = count - 1
-	if repeats <= 0 {
-		return first, 0
-	}
-	l1 := t.l1Base
-	if huge {
-		l1 = t.l1Huge
-	}
-	l1.touchRepeats(makeKey(pid, page, huge), page, repeats)
-	t.Lookups += repeats
-	t.L1Hits += repeats
-	return first, repeats
 }
 
 // MissRate reports misses/lookups so far.

@@ -30,40 +30,7 @@ func (v *VMM) Access(p *Process, vpn VPN, write bool) TouchResult {
 	if r == nil {
 		return TouchFault
 	}
-	return v.AccessResolved(r, SlotOf(vpn), write)
-}
-
-// AccessCached is Access through the process's software translation cache
-// (ResolvePTE): identical state effects, with the region-map lookup and slot
-// arithmetic amortized across repeated accesses to the same page — the shape
-// the batched pipeline produces.
-func (v *VMM) AccessCached(p *Process, vpn VPN, write bool) TouchResult {
-	r, e := p.ResolvePTE(vpn)
-	if r == nil {
-		return TouchFault
-	}
-	if r.Huge {
-		return v.AccessResolved(r, SlotOf(vpn), write)
-	}
-	if !e.Present() {
-		return TouchFault
-	}
-	if write && e.COW() {
-		return TouchCOW
-	}
-	w, m := bitOf(SlotOf(vpn))
-	r.accessed[w] |= m
-	if write {
-		r.dirty[w] |= m
-		v.Content.Write(e.Frame)
-		v.Alloc.MarkDirty(e.Frame)
-	}
-	return TouchOK
-}
-
-// AccessResolved is Access with the region already resolved — the per-access
-// body shared by the scalar and batched paths.
-func (v *VMM) AccessResolved(r *Region, slot int, write bool) TouchResult {
+	slot := SlotOf(vpn)
 	if r.Huge {
 		r.hugeFlags |= pteAccessed
 		if write {
@@ -89,29 +56,6 @@ func (v *VMM) AccessResolved(r *Region, slot int, write bool) TouchResult {
 		v.Alloc.MarkDirty(e.Frame)
 	}
 	return TouchOK
-}
-
-// AccessRepeat applies the residual MMU effects of n re-touches of an
-// already-settled mapping. Read repeats are fully absorbed by the first
-// access (the access bit is already set), so only write repeats do work:
-// the content-store writes collapse to their closed form — WriteRepeat
-// advances the store's RNG stream exactly as n scalar Writes would, so
-// modelled page contents stay in sync with the scalar path — and the
-// idempotent dirty marking is applied once. Writes and dirty marks touch
-// disjoint state (store vs. allocator zero bitmap), so un-interleaving them
-// is unobservable.
-func (v *VMM) AccessRepeat(r *Region, slot int, write bool, n int) {
-	if !write || n <= 0 {
-		return
-	}
-	var frame mem.FrameID
-	if r.Huge {
-		frame = r.HugeFrame + mem.FrameID(slot)
-	} else {
-		frame = r.PTEs[slot].Frame
-	}
-	v.Content.WriteRepeat(frame, n)
-	v.Alloc.MarkDirty(frame)
 }
 
 // AccessShared is Access for writes of logically shared data (same key ⇒

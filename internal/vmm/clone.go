@@ -33,11 +33,7 @@ func (r *Region) clone() *Region {
 	return &c
 }
 
-// cloneFor returns a deep copy of the process bound to the new VMM. The
-// one-entry software translation cache is reset rather than copied: its
-// pointers address the parent's regions, and the cache is a pure lookup
-// shortcut — state is always re-read through it — so starting cold changes
-// nothing observable.
+// cloneFor returns a deep copy of the process bound to the new VMM.
 func (p *Process) cloneFor(v *VMM) *Process {
 	c := &Process{
 		PID:        p.PID,

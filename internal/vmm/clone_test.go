@@ -62,8 +62,7 @@ func TestForkIntoDoesNotAliasParent(t *testing.T) {
 	// Mutate the fork every way a run would: dirty pages, remap a slot to a
 	// fresh frame, and tear down a whole region.
 	for vpn := VPN(0); vpn < 64; vpn++ {
-		r, _ := cp.ResolvePTE(vpn)
-		if cv.AccessResolved(r, SlotOf(vpn), true) != TouchOK {
+		if cv.Access(cp, vpn, true) != TouchOK {
 			t.Fatalf("fork access vpn %d failed", vpn)
 		}
 	}

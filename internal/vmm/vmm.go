@@ -43,19 +43,6 @@ type Process struct {
 	// a map probe; exotic indices fall back to the map.
 	dense []*Region
 
-	// Software translation cache for the batched touch path: the last
-	// region resolved and the last base PTE located through it. Region
-	// pointers are stable for the life of the process (regions are only
-	// ever added, never removed, until Exit rebuilds the map), and PTE
-	// pointers address a fixed array inside the region, so both stay valid
-	// until Exit clears them; present/COW/swap state is re-read through the
-	// pointer on every use, so the cache can never serve stale *state*,
-	// only save the map lookup.
-	lastIdx    RegionIndex
-	lastRegion *Region
-	lastVPN    VPN
-	lastPTE    *PTE
-
 	rss        mem.Pages   // pages charged to RSS
 	hugeMapped mem.Regions // current huge mappings
 
@@ -218,42 +205,6 @@ func (p *Process) RegionsInOrder() []*Region {
 		p.dirtyOrder = false
 	}
 	return p.ordered
-}
-
-// ResolveRegion returns the region covering vpn (nil if absent), consulting
-// the one-entry software translation cache first. The cache saves the map
-// lookup on the repeat- and stride-heavy batched access path; it is cleared
-// on Exit, the only operation that invalidates region pointers.
-func (p *Process) ResolveRegion(vpn VPN) *Region {
-	idx := RegionOf(vpn)
-	if p.lastRegion != nil && p.lastIdx == idx {
-		return p.lastRegion
-	}
-	r := p.region(idx)
-	if r != nil {
-		p.lastIdx, p.lastRegion = idx, r
-		p.lastPTE = nil
-	}
-	return r
-}
-
-// ResolvePTE resolves vpn through the translation cache to its region and,
-// for base-mapped regions, its PTE pointer (nil for absent or huge-mapped
-// regions). The PTE pointer addresses a fixed array inside the region and so
-// stays valid until Exit; presence/COW flags are re-read through it on every
-// use, and the huge flag is re-checked here, so granularity changes between
-// quanta (promotion/demotion) cannot be masked by the cache.
-func (p *Process) ResolvePTE(vpn VPN) (*Region, *PTE) {
-	if p.lastPTE != nil && p.lastVPN == vpn && !p.lastRegion.Huge {
-		return p.lastRegion, p.lastPTE
-	}
-	r := p.ResolveRegion(vpn)
-	if r == nil || r.Huge {
-		return r, nil
-	}
-	p.lastVPN = vpn
-	p.lastPTE = &r.PTEs[SlotOf(vpn)]
-	return r, p.lastPTE
 }
 
 // RegionCount reports the number of regions that exist.
@@ -428,8 +379,6 @@ func (v *VMM) Exit(p *Process) {
 	p.order = nil
 	p.ordered = nil
 	p.dirtyOrder = false
-	p.lastRegion = nil
-	p.lastPTE = nil
 	p.Dead = true
 }
 

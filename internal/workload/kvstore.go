@@ -232,6 +232,7 @@ type kvSampler struct {
 	prof kernel.AccessProfile
 }
 
+// Sample draws one query access.
 func (s *kvSampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
 	if len(s.kv.keys) == 0 {
 		return 0, false
@@ -242,6 +243,15 @@ func (s *kvSampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
 		off = vmm.VPN(r.Intn(int(key.pages)))
 	}
 	return key.start + off, r.Float64() < 0.1
+}
+
+// SampleRun implements kernel.AccessSampler.
+func (s *kvSampler) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) []kernel.AccessRun {
+	for i := 0; i < n; i++ {
+		vpn, write := s.Sample(r)
+		buf = kernel.AppendAccess(buf, vpn, write)
+	}
+	return buf
 }
 
 func (s *kvSampler) Profile() kernel.AccessProfile { return s.prof }

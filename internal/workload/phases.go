@@ -75,27 +75,14 @@ type Populate struct {
 	Write  bool
 
 	next mem.Pages
-	init bool
 }
 
-func (pp *Populate) reset() { pp.next = 0; pp.init = false }
+func (pp *Populate) reset() { pp.next = 0 }
 
 func (pp *Populate) run(k *kernel.Kernel, p *kernel.Proc, budget sim.Time) (sim.Time, bool, error) {
-	if !pp.init {
-		pp.init = true
-	}
-	write := pp.Write
-	if !k.Cfg.ScalarPath {
-		done, consumed, err := k.TouchRange(p, pp.Start.Advance(pp.next), pp.Pages-pp.next, write, pp.OpCost, budget)
-		pp.next += done
-		if err != nil {
-			return consumed, false, err
-		}
-		return consumed, pp.next >= pp.Pages, nil
-	}
 	var consumed sim.Time
 	for pp.next < pp.Pages && consumed < budget {
-		c, err := k.Touch(p, pp.Start.Advance(pp.next), write)
+		c, err := k.Touch(p, pp.Start.Advance(pp.next), pp.Write)
 		if err != nil {
 			return consumed, false, err
 		}

@@ -76,12 +76,9 @@ func (s *Sampler) prepare() {
 	s.coldDiv = sim.NewDivisor(uint64(cold))
 }
 
-var (
-	_ kernel.AccessSampler = (*Sampler)(nil)
-	_ kernel.RunSampler    = (*Sampler)(nil)
-)
+var _ kernel.AccessSampler = (*Sampler)(nil)
 
-// Sample implements kernel.AccessSampler.
+// Sample draws one access of the stream.
 func (s *Sampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
 	if s.Pages <= 0 {
 		return s.Base, false
@@ -120,24 +117,14 @@ func (s *Sampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
 	}
 }
 
-// SampleRun implements kernel.RunSampler: it draws n samples — consuming
-// the RNG exactly as n Sample calls would, which keeps the scalar and
-// batched execution paths interchangeable mid-stream — and emits them
-// run-length encoded, merging consecutive same-page same-mode accesses into
-// dwell runs. Sequential streams dwell AccessesPerPage samples per page, so
-// they collapse ~APP× here; Uniform and Hotspot merge only on chance
-// repeats.
+// SampleRun implements kernel.AccessSampler: it draws n samples and emits
+// them run-length encoded. Sequential streams dwell AccessesPerPage samples
+// per page, so they collapse ~APP× here; Uniform and Hotspot merge only on
+// chance repeats.
 func (s *Sampler) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) []kernel.AccessRun {
 	for i := 0; i < n; i++ {
 		vpn, write := s.Sample(r)
-		if m := len(buf); m > 0 {
-			last := &buf[m-1]
-			if last.Stride == 0 && last.Start == vpn && last.Write == write {
-				last.Count++
-				continue
-			}
-		}
-		buf = append(buf, kernel.AccessRun{Start: vpn, Count: 1, Write: write})
+		buf = kernel.AppendAccess(buf, vpn, write)
 	}
 	return buf
 }

@@ -8,21 +8,20 @@ package workload
 // run-length trace. A Trace captures that stream once, chunk by chunk, and
 // a ReplaySampler serves it back with zero RNG work and zero allocation.
 //
-// Chunking follows the batched execution path exactly: steadyRunBatched
-// draws a constant `samples` per quantum and merges runs only within one
-// SampleRun call, so the trace records one chunk per quantum-sized call and
-// replay reproduces the per-call run boundaries bit for bit.
+// Chunking follows kernel.SteadyRun exactly: it draws a constant `samples`
+// per quantum in one SampleRun call, which merges runs only within that
+// call, so the trace records one chunk per quantum and replay reproduces
+// the per-call run boundaries bit for bit.
 //
 // Stream-identity contract: every chunk stores the RNG state before and
 // after its capture. Replay asserts the consumer's RNG is exactly at the
 // recorded pre-state, serves the decoded runs, and jumps the RNG to the
 // recorded post-state — so a replayed consumer is indistinguishable,
 // state-wise, from one that sampled live. Any mismatch (a policy consumed
-// the process RNG, a different samples-per-quantum, a scalar-path Sample
-// call, a run the trace layout cannot hold) permanently drops the consumer
-// to a live fallback Sampler that was kept synchronized at every chunk
-// boundary, so outputs stay byte-identical even when replay cannot be
-// used.
+// the process RNG, a different samples-per-quantum, a run the trace layout
+// cannot hold) permanently drops the consumer to a live fallback Sampler
+// that was kept synchronized at every chunk boundary, so outputs stay
+// byte-identical even when replay cannot be used.
 //
 // Traces extend lazily: cells consume different numbers of quanta (policies
 // accrue work at different rates), so the first consumer to reach an
@@ -206,14 +205,14 @@ var captureBufPool sync.Pool
 
 // encode stores runs as one chunk's columns in the arena. ok=false means
 // the layout cannot hold some run exactly — a start outside [Base,
-// Base+Pages), a non-zero stride, or a count that overflows 32 bits — and
-// nothing is carved in that case. Caller holds t.mu.
+// Base+Pages) or a count that overflows 32 bits — and nothing is carved in
+// that case. Caller holds t.mu.
 func (t *Trace) encode(runs []kernel.AccessRun) (ch traceChunk, ok bool) {
 	base := t.geom.Base
 	ones := true
 	for i := range runs {
 		r := &runs[i]
-		if uint64(r.Start-base) >= t.limit || r.Stride != 0 || uint64(r.Count) > math.MaxUint32 {
+		if uint64(r.Start-base) >= t.limit || uint64(r.Count) > math.MaxUint32 {
 			return traceChunk{}, false
 		}
 		ones = ones && r.Count == 1
@@ -331,7 +330,7 @@ func (t *Trace) chunkFor(idx, n int, r *sim.Rand) (ch traceChunk, hit, ok bool) 
 	return ch, false, true
 }
 
-// ReplaySampler implements kernel.RunSampler over a Trace: each SampleRun
+// ReplaySampler implements kernel.AccessSampler over a Trace: each SampleRun
 // call serves one recorded chunk — decoding straight from the arena with no
 // RNG draws and no allocation beyond the caller's buffer — while keeping a
 // live Sampler synchronized at every chunk boundary so the stream can
@@ -345,7 +344,7 @@ type ReplaySampler struct {
 	hits     *trace.Counter // nil-safe: replayed-chunk tally
 }
 
-var _ kernel.RunSampler = (*ReplaySampler)(nil)
+var _ kernel.AccessSampler = (*ReplaySampler)(nil)
 
 // NewReplaySampler returns a replay cursor at the top of the trace. hits
 // (nil-safe) counts chunks served from the record.
@@ -356,15 +355,7 @@ func NewReplaySampler(t *Trace, hits *trace.Counter) *ReplaySampler {
 // Profile implements kernel.AccessSampler.
 func (rs *ReplaySampler) Profile() kernel.AccessProfile { return rs.live.Prof }
 
-// Sample implements kernel.AccessSampler. A scalar draw cannot be served
-// from the run-length record, so the sampler permanently drops to its live
-// fallback — which is exactly at the stream position replay left it.
-func (rs *ReplaySampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
-	rs.liveMode = true
-	return rs.live.Sample(r)
-}
-
-// SampleRun implements kernel.RunSampler. Replay serves the next recorded
+// SampleRun implements kernel.AccessSampler. Replay serves the next recorded
 // chunk if the consumer's RNG is exactly where the record expects it
 // (capturing the chunk first when the cursor is at the frontier), then
 // jumps the RNG over the recorded span. On any mismatch it falls back to

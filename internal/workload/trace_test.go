@@ -26,8 +26,8 @@ func testGeometry() Geometry {
 	}
 }
 
-// drainRuns pulls chunks quanta of n samples each through a RunSampler.
-func drainRuns(s kernel.RunSampler, r *sim.Rand, chunks, n int) [][]kernel.AccessRun {
+// drainRuns pulls chunks quanta of n samples each through a sampler.
+func drainRuns(s kernel.AccessSampler, r *sim.Rand, chunks, n int) [][]kernel.AccessRun {
 	out := make([][]kernel.AccessRun, chunks)
 	for i := range out {
 		out[i] = s.SampleRun(r, nil, n)
@@ -189,35 +189,6 @@ func TestTraceDivergedConsumerFallsBackLive(t *testing.T) {
 				t.Fatalf("chunk %d run %d: got %+v want %+v", i, j, got[i][j], want[i][j])
 			}
 		}
-	}
-}
-
-// TestTraceMidstreamScalarFallback drops a replayer to scalar sampling mid
-// stream and checks the live fallback continues from the exact position the
-// record left off — the boundary-synchronization half of the contract.
-func TestTraceMidstreamScalarFallback(t *testing.T) {
-	g := testGeometry()
-	const n = 256
-
-	liveS := g.sampler()
-	liveR := sim.NewRand(5)
-	liveS.SampleRun(liveR, nil, n)
-	liveS.SampleRun(liveR, nil, n)
-	wantV, wantW := liveS.Sample(liveR)
-
-	tr := NewTrace(g)
-	drainRuns(NewReplaySampler(tr, nil), sim.NewRand(5), 4, n)
-
-	rs := NewReplaySampler(tr, nil)
-	r := sim.NewRand(5)
-	rs.SampleRun(r, nil, n)
-	rs.SampleRun(r, nil, n)
-	gotV, gotW := rs.Sample(r)
-	if !rs.Live() {
-		t.Fatal("scalar draw did not drop the sampler to live mode")
-	}
-	if gotV != wantV || gotW != wantW || r.State() != liveR.State() {
-		t.Fatalf("post-replay scalar draw diverged: got (%v,%v) want (%v,%v)", gotV, gotW, wantV, wantW)
 	}
 }
 
