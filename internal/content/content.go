@@ -93,14 +93,6 @@ func (s *Store) Fork() *Store {
 	}
 }
 
-// Release retires the signature tables, recycling their privately owned
-// chunks into the table family's pool (see cow.Table.Release). The store is
-// unusable afterwards; call only when its machine is being torn down.
-func (s *Store) Release() {
-	s.hashes.Release()
-	s.fnz.Release()
-}
-
 // Get returns the signature of a frame.
 func (s *Store) Get(f mem.FrameID) Signature {
 	return Signature{Hash: s.hashes.Get(int(f)), FirstNonZero: s.fnz.Get(int(f))}

@@ -197,13 +197,6 @@ func RunSweepCell(o Options, spec SweepSpec, cell SweepCell) SweepRow {
 	res, k, err := runConcurrent(o, pol, []*workload.Instance{inst}, []string{spec.Workload}, spec.FragKeep, 0)
 	if k != nil {
 		row.CowDirtyChunks = k.COWDirtyChunks()
-		if o.Trace == nil {
-			// The cell's machine is dead; recycle its privately-owned table
-			// chunks and scratch buffers into the shared pools so the next
-			// cell's fork materializes into them instead of the heap. Traced
-			// machines are kept intact — a TraceSet may export them later.
-			defer k.Release()
-		}
 	}
 	if err != nil {
 		row.Error = err.Error()

@@ -182,14 +182,6 @@ func (r *Registry) detach(id int64) {
 	}
 }
 
-// DetachAll drops every attached machine (test isolation). Global counters,
-// gauges and histograms are registration, not run state, and survive.
-func (r *Registry) DetachAll() {
-	r.mu.Lock()
-	r.machines = nil
-	r.mu.Unlock()
-}
-
 // Armed reports whether a debug server is currently serving this registry.
 func (r *Registry) Armed() bool { return r.armed.Load() }
 

@@ -7,9 +7,6 @@
 package kernel
 
 import (
-	"fmt"
-	"sync"
-
 	"hawkeye/internal/content"
 	"hawkeye/internal/fault"
 	"hawkeye/internal/mem"
@@ -401,58 +398,6 @@ func (k *Kernel) stopIfIdle() {
 
 // Run drives the machine until the deadline (0 = until idle).
 func (k *Kernel) Run(deadline sim.Time) error { return k.Engine.Run(deadline) }
-
-// RunUntilDone drives the machine until every spawned program finished, or
-// the hard deadline passes. It returns an error if the deadline fired with
-// programs still running.
-func (k *Kernel) RunUntilDone(deadline sim.Time) error {
-	check := func(e *sim.Engine) (bool, error) { return len(k.LiveProcs()) > 0, nil }
-	k.Engine.Every(sim.Second, "done-check", check)
-	if err := k.Engine.Run(deadline); err != nil {
-		return err
-	}
-	if left := len(k.LiveProcs()); left > 0 && deadline > 0 && k.Now() >= deadline {
-		return fmt.Errorf("kernel: deadline %v reached with %d programs running", deadline, left)
-	}
-	return nil
-}
-
-// runBufPool recycles the per-process quantum trace buffers across machine
-// teardowns: every sweep cell's processes draw into a buffer of the same
-// SamplesPerQuantum-determined size, so a released buffer is exactly what
-// the next cell needs. Pointers to slices (not slices) move through the
-// pool so a Put never boxes a fresh allocation.
-var runBufPool sync.Pool
-
-// getRunBuf returns a recycled run buffer (possibly nil: the first SampleRun
-// sizes it via append, and from then on it is reused in place).
-func getRunBuf() []AccessRun {
-	if b, ok := runBufPool.Get().(*[]AccessRun); ok {
-		return (*b)[:0]
-	}
-	return nil
-}
-
-// Release retires a torn-down machine: per-process scratch buffers go back
-// to the process-wide run-buffer pool and every chunked COW substrate table
-// recycles its privately owned chunks into its family pool (see
-// cow.Table.Release). The machine is unusable afterwards — no tool may read
-// it again, including trace gauges — so callers only release machines whose
-// results have been fully extracted and whose recorder is detached. The
-// experiment harness calls this per sweep cell, where the per-cell chunk
-// churn would otherwise dominate allocation.
-func (k *Kernel) Release() {
-	for _, p := range k.procs {
-		if p.runBuf != nil {
-			b := p.runBuf[:0]
-			runBufPool.Put(&b)
-			p.runBuf = nil
-		}
-	}
-	k.Alloc.Release()
-	k.Content.Release()
-	k.VMM.Release()
-}
 
 // UsedFraction reports allocated/total memory.
 func (k *Kernel) UsedFraction() float64 { return k.Alloc.UsedFraction() }

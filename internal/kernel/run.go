@@ -76,9 +76,6 @@ func (k *Kernel) SteadyRun(p *Proc, dur sim.Time, s AccessSampler) (SteadyResult
 	pid := int32(p.VP.PID)
 	var walkTotal sim.Cycles
 	var faultCost sim.Time
-	if p.runBuf == nil {
-		p.runBuf = getRunBuf()
-	}
 	p.runBuf = s.SampleRun(p.rng, p.runBuf[:0], samples)
 	for _, run := range p.runBuf {
 		for range run.Count {

@@ -232,8 +232,4 @@ func (s *KSM) canonValid(f mem.FrameID, hash uint64) bool {
 	return s.k.Content.Get(f).Hash == hash
 }
 
-// SharedSavings reports pages currently saved by merging (merged minus
-// inevitable COW breaks is not tracked; this is the gross number).
-func (s *KSM) SharedSavings() int64 { return s.MergedPages }
-
 var _ = content.ZeroHash // content is part of the package contract

@@ -72,15 +72,3 @@ func (a *Allocator) SetCOWCounter(c *trace.Counter) {
 	a.zeroBits.SetDirtyCounter(c)
 	a.fileLIFO.SetDirtyCounter(c)
 }
-
-// Release retires the allocator's tables, recycling their privately owned
-// chunks into the table family's pool (see cow.Table.Release). The
-// allocator is unusable afterwards; call only when its machine is being
-// torn down.
-func (a *Allocator) Release() {
-	a.frames.Release()
-	a.next.Release()
-	a.prev.Release()
-	a.zeroBits.Release()
-	a.fileLIFO.Release()
-}

@@ -18,7 +18,7 @@
 // is the only transition from owned to shared, and nothing ever transitions
 // back — a table that needs to write a shared chunk copies it. Unreferenced
 // chunks are reclaimed by the garbage collector when the last spine that
-// points at them goes away.
+// points at them goes away; a dropped table needs no release call.
 //
 // Tables are additionally lazy against a background fill value: a chunk
 // that has never been written points at a per-table-family "background"
@@ -33,7 +33,7 @@
 package cow
 
 import (
-	"sync"
+	"slices"
 	"unsafe"
 
 	"hawkeye/internal/trace"
@@ -58,41 +58,6 @@ const (
 type chunk[T any] struct {
 	owner *uint8
 	data  [ChunkElems]T
-}
-
-// familyPool recycles chunks and spines across the forks of one table
-// family. Short-lived forks (a sweep cell's machine) materialize hundreds of
-// chunks and then die; without reuse that is the dominant allocation of a
-// sweep — ~93% of allocated bytes — so Release feeds dead forks' private
-// chunks back to the family and materialize drains the pool before asking
-// the heap. Chunks move through a sync.Pool, so handing a chunk from a dying
-// fork on one worker to a fresh fork on another is race-free, and the GC can
-// still reclaim pooled memory under pressure.
-//
-// Pooling is safe because of the ownership invariant (see package comment):
-// a chunk with a non-nil owner is referenced by exactly one spine — its
-// owner's — so once that table is released, nothing can reach the chunk.
-// materialize overwrites both the owner token and the full payload of a
-// recycled chunk before publishing it, so no stale state survives reuse.
-type familyPool[T any] struct {
-	chunks sync.Pool // holds *chunk[T]
-	spines sync.Pool // holds *[]*chunk[T], entries nil, len 0
-}
-
-func (p *familyPool[T]) getChunk() *chunk[T] {
-	if c, ok := p.chunks.Get().(*chunk[T]); ok {
-		return c
-	}
-	return &chunk[T]{}
-}
-
-// getSpine returns a zeroed-length spine with capacity >= n, recycled when
-// possible.
-func (p *familyPool[T]) getSpine(n int) []*chunk[T] {
-	if sp, ok := p.spines.Get().(*[]*chunk[T]); ok && cap(*sp) >= n {
-		return (*sp)[:n]
-	}
-	return make([]*chunk[T], n)
 }
 
 // Table is a chunked copy-on-write array of T. The zero value is not
@@ -120,9 +85,6 @@ type Table[T any] struct {
 	// (nil-safe).
 	dirty int64
 	ctr   *trace.Counter
-	// pool is the family's chunk/spine recycler, shared by every fork
-	// descended from the same NewTable.
-	pool *familyPool[T]
 }
 
 // NewTable builds a table of n elements, every one reading as fill.
@@ -131,11 +93,7 @@ func NewTable[T any](n int, fill T) *Table[T] {
 	for i := range bg.data {
 		bg.data[i] = fill
 	}
-	t := &Table[T]{
-		bg:   bg,
-		id:   new(uint8),
-		pool: &familyPool[T]{},
-	}
+	t := &Table[T]{bg: bg, id: new(uint8)}
 	t.spine = make([]*chunk[T], spineLen(n))
 	for i := range t.spine {
 		t.spine[i] = bg
@@ -204,9 +162,7 @@ func (t *Table[T]) MutSpan(i int) []T {
 // allocation, which a freshly built table would pay too.
 func (t *Table[T]) materialize(ci int) *chunk[T] {
 	src := t.spine[ci]
-	nc := t.pool.getChunk()
-	nc.owner = t.id
-	nc.data = src.data
+	nc := &chunk[T]{owner: t.id, data: src.data}
 	t.spine[ci] = nc
 	if src != t.bg {
 		t.dirty++
@@ -244,15 +200,12 @@ func (t *Table[T]) Fork() *Table[T] {
 	// The fork does not inherit t's dirty counter: counters belong to a
 	// machine's trace recorder, and each forked machine wires its own
 	// (or none) when its trace is attached.
-	spine := t.pool.getSpine(len(t.spine))
-	copy(spine, t.spine)
 	return &Table[T]{
-		spine:   spine,
+		spine:   slices.Clone(t.spine),
 		n:       t.n,
 		bg:      t.bg,
 		id:      new(uint8),
 		canFork: true,
-		pool:    t.pool,
 	}
 }
 
@@ -302,26 +255,3 @@ func (t *Table[T]) DirtyChunks() int64 { return t.dirty }
 // SetDirtyCounter mirrors every future counted materialization into c
 // (nil-safe, nil detaches).
 func (t *Table[T]) SetDirtyCounter(c *trace.Counter) { t.ctr = c }
-
-// Release retires the table and feeds its recyclable storage back to the
-// family pool: every privately owned chunk (reachable only through this
-// spine, by the ownership invariant) and the spine itself. Frozen chunks are
-// left alone — other forks may share them — and background slots carry no
-// storage. The table is unusable afterwards (any access panics); callers
-// invoke Release only when the machine owning the table is torn down, and
-// must not hold Mut pointers across it. Sealed-and-unwritten tables own
-// nothing, so releasing one recycles only the spine.
-func (t *Table[T]) Release() {
-	for i, ch := range t.spine {
-		if ch.owner == t.id {
-			ch.owner = nil
-			t.pool.chunks.Put(ch)
-		}
-		t.spine[i] = nil
-	}
-	sp := t.spine[:0]
-	t.pool.spines.Put(&sp)
-	t.spine = nil
-	t.n = 0
-	t.canFork = false
-}

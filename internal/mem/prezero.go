@@ -70,12 +70,6 @@ func (a *Allocator) InsertZeroBlock(head FrameID, order int) {
 	a.coalesce(head, order)
 }
 
-// InsertNonZeroBlock returns a block taken with PopNonZeroBlock without
-// zeroing it (e.g. the pre-zero thread was interrupted).
-func (a *Allocator) InsertNonZeroBlock(head FrameID, order int) {
-	a.coalesce(head, order)
-}
-
 // NonZeroFreePages reports free pages whose contents are not known zero —
 // the pre-zero thread's backlog.
 func (a *Allocator) NonZeroFreePages() Pages { return a.freePages - a.zeroFreePages }

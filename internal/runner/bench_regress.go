@@ -138,9 +138,9 @@ func Tier0Benchmarks() []Tier0Bench {
 		{Name: "fig5_quick", Iters: 1, Reps: 2, Tolerance: 0.30, Setup: setupExperiment("fig5")},
 		// sweep_cell is the sweep fan-out unit of work end to end: fork the
 		// warm machine from the snapshot cache, replay the access stream from
-		// the trace cache, run the policy, release the machine's chunks back
-		// to the pools. sweep_cell_steady isolates the replayed steady
-		// quantum, whose zero-alloc contract the MaxAllocs cap enforces.
+		// the trace cache, run the policy, drop the machine for the
+		// collector. sweep_cell_steady isolates the replayed steady quantum,
+		// whose zero-alloc contract the MaxAllocs cap enforces.
 		{Name: "sweep_cell", Iters: 10, Reps: 2, Tolerance: 0.30, GateAllocs: true, AllocIters: 4, Setup: setupSweepCell},
 		{Name: "sweep_cell_steady", Iters: 20_000, Reps: 3, GateAllocs: true, MaxAllocs: 2, AllocIters: 2_000, Setup: setupSweepCellSteady},
 		// introspect_off is the disabled-instrumentation floor: the hooks the
@@ -296,7 +296,7 @@ func setupSnapshotForkCOW() func() {
 var forkSink *kernel.Kernel
 
 // setupSweepCell runs one full sweep grid cell per op: snapshot-cache fork,
-// trace-cache replay, policy execution, chunk release. The warm-up call
+// trace-cache replay, policy execution. The warm-up call
 // Measure performs populates both process-wide caches, so the timed ops see
 // the steady state a mid-sweep cell sees.
 func setupSweepCell() func() {
@@ -325,8 +325,8 @@ var rowSink experiments.SweepRow
 // settled, trace captured, each op rewinds the replay cursor, jumps the
 // process RNG to the stream start and runs a full quantum served entirely
 // from the record. This is the path the MaxAllocs cap holds to (near) zero
-// allocation: runs decode from the trace arena into the pooled run buffer
-// and no RNG or sampler work happens at all.
+// allocation: runs decode from the trace arena into the process's reused
+// run buffer and no RNG or sampler work happens at all.
 func setupSweepCellSteady() func() {
 	cfg := kernel.DefaultConfig()
 	cfg.MemoryBytes = 256 << 20

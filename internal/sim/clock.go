@@ -37,9 +37,6 @@ func (t Time) String() string {
 // Seconds reports the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// DurationFromSeconds converts floating point seconds into simulated Time.
-func DurationFromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 // Clock tracks current simulated time. It only moves forward.
 type Clock struct {
 	now Time

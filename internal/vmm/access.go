@@ -136,13 +136,6 @@ func (r *Region) PopulatedAccessedDirty() (populated, accessed, dirty int) {
 	return
 }
 
-// ClearAccessBit clears one base slot's access bit — the "second chance"
-// step of a clock-style reclaim scan.
-func (r *Region) ClearAccessBit(slot int) {
-	w, m := bitOf(slot)
-	r.accessed[w] &^= m
-}
-
 // ColdPresentWord returns present-but-not-accessed slots of one bitmap word
 // as a bit mask — the eviction candidates of a clock sweep. Word w covers
 // slots [64w, 64w+64).

@@ -121,8 +121,3 @@ func (v *VMM) COWDirtyChunks() int64 { return v.rmap.DirtyChunks() }
 // SetCOWCounter mirrors reverse-map chunk materializations into c
 // (nil-safe; nil detaches).
 func (v *VMM) SetCOWCounter(c *trace.Counter) { v.rmap.SetDirtyCounter(c) }
-
-// Release retires the reverse map, recycling its privately owned chunks
-// into the table family's pool (see cow.Table.Release). The VMM is unusable
-// afterwards; call only when its machine is being torn down.
-func (v *VMM) Release() { v.rmap.Release() }

@@ -82,7 +82,6 @@ func (v *VMM) PromoteInPlace(p *Process, r *Region) {
 	}
 	r.clearSlotBitmaps()
 	r.populated = 0
-	r.resident = 0
 	p.rss -= mem.HugePages
 	r.Reserved = false
 	v.MapHuge(p, r, head)

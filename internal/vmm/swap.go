@@ -35,9 +35,6 @@ func NewSwapDevice(base mem.FrameID, slots mem.Pages) *SwapDevice {
 	return &SwapDevice{base: base, slots: int64(slots)}
 }
 
-// Slots reports the device capacity in pages.
-func (d *SwapDevice) Slots() mem.Pages { return mem.Pages(d.slots) }
-
 // Used reports occupied slots.
 func (d *SwapDevice) Used() mem.Pages { return mem.Pages(d.used) }
 
@@ -137,25 +134,6 @@ func (v *VMM) ReleaseSwapped(p *Process, dev *SwapDevice) int {
 		for slot := range r.PTEs {
 			if r.PTEs[slot].Swapped() {
 				v.dropSwapSlot(r, slot, dev)
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// SwappedCount reports the process's pages currently on swap.
-func (p *Process) SwappedCount() mem.Pages {
-	var n mem.Pages
-	// Address order keeps even pure counting loops off the map-iteration
-	// path (integer summation is order-safe, but the determinism analyzer
-	// cannot prove it; the sorted walk is equally cheap).
-	for _, r := range p.RegionsInOrder() {
-		if r.Huge {
-			continue
-		}
-		for slot := range r.PTEs {
-			if r.PTEs[slot].Swapped() {
 				n++
 			}
 		}

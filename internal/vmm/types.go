@@ -73,7 +73,6 @@ type Region struct {
 	// Base mapping state (valid when !Huge).
 	PTEs      [mem.HugePages]PTE
 	populated int // present base PTEs (private or COW)
-	resident  int // present base PTEs counting toward RSS (excludes COW-shared)
 
 	// Per-slot bitmaps over the 512 base slots. present mirrors ptePresent;
 	// accessed and dirty are the authoritative hardware access/dirty bits for
@@ -98,14 +97,6 @@ func (r *Region) Populated() int {
 	return r.populated
 }
 
-// Resident reports pages charged to RSS in this region.
-func (r *Region) Resident() int {
-	if r.Huge {
-		return mem.HugePages
-	}
-	return r.resident
-}
-
 // HugeAccessed reports the access bit of a huge mapping.
 func (r *Region) HugeAccessed() bool { return r.hugeFlags&pteAccessed != 0 }
 
@@ -121,12 +112,6 @@ func bitOf(slot int) (word int, mask uint64) {
 func (r *Region) SlotAccessed(slot int) bool {
 	w, m := bitOf(slot)
 	return r.accessed[w]&m != 0
-}
-
-// SlotDirty reports the dirty bit of one base slot.
-func (r *Region) SlotDirty(slot int) bool {
-	w, m := bitOf(slot)
-	return r.dirty[w]&m != 0
 }
 
 // markMapped records a freshly installed base mapping: present, and accessed

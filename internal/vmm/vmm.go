@@ -207,9 +207,6 @@ func (p *Process) RegionsInOrder() []*Region {
 	return p.ordered
 }
 
-// RegionCount reports the number of regions that exist.
-func (p *Process) RegionCount() int { return len(p.regions) }
-
 // Lookup resolves a VPN to its mapping state.
 func (p *Process) Lookup(vpn VPN) (pte PTE, huge bool, present bool) {
 	r := p.region(RegionOf(vpn))
@@ -238,7 +235,6 @@ func (v *VMM) MapBase(p *Process, r *Region, slot int, frame mem.FrameID) {
 	e.Flags = ptePresent
 	r.markMapped(slot)
 	r.populated++
-	r.resident++
 	p.rss++
 	v.rmap.Set(int(frame), mapping{reg: r.Index, pid: int32(p.PID), slot: int16(slot), kind: mapBase})
 }
@@ -303,7 +299,6 @@ func (v *VMM) UnmapBase(p *Process, r *Region, slot int, freeFrame bool) {
 		}
 		return
 	}
-	r.resident--
 	p.rss--
 	v.rmap.Set(int(frame), mapping{})
 	if freeFrame {

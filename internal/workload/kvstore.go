@@ -226,41 +226,29 @@ func (kv *KVStore) runDelete(k *kernel.Kernel, p *kernel.Proc, op KVDelete) (sim
 	return consumed, true, nil
 }
 
-// kvSampler samples uniformly over live keys.
-type kvSampler struct {
-	kv   *KVStore
-	prof kernel.AccessProfile
-}
-
-// Sample draws one query access.
-func (s *kvSampler) Sample(r *sim.Rand) (vmm.VPN, bool) {
-	if len(s.kv.keys) == 0 {
-		return 0, false
-	}
-	key := s.kv.keys[r.Intn(len(s.kv.keys))]
-	off := vmm.VPN(0)
-	if key.pages > 1 {
-		off = vmm.VPN(r.Intn(int(key.pages)))
-	}
-	return key.start + off, r.Float64() < 0.1
-}
-
-// SampleRun implements kernel.AccessSampler.
-func (s *kvSampler) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) []kernel.AccessRun {
-	for i := 0; i < n; i++ {
-		vpn, write := s.Sample(r)
+// SampleRun implements kernel.AccessSampler for the serving phase: each
+// query touches a uniformly chosen page of a uniformly chosen live key, and
+// one query in ten writes it.
+func (kv *KVStore) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) []kernel.AccessRun {
+	for range n {
+		var vpn vmm.VPN
+		write := false
+		if len(kv.keys) > 0 {
+			key := kv.keys[r.Intn(len(kv.keys))]
+			vpn = key.start
+			if key.pages > 1 {
+				vpn += vmm.VPN(r.Intn(int(key.pages)))
+			}
+			write = r.Float64() < 0.1
+		}
 		buf = kernel.AppendAccess(buf, vpn, write)
 	}
 	return buf
 }
 
-func (s *kvSampler) Profile() kernel.AccessProfile { return s.prof }
-
-// QuerySampler exposes the store's serving-phase sampler (for experiments
-// that probe overheads directly).
-func (kv *KVStore) QuerySampler() kernel.AccessSampler {
-	return &kvSampler{kv: kv, prof: kv.QueryProfile}
-}
+// Profile implements kernel.AccessSampler: the serving phase's stream is
+// characterized by QueryProfile.
+func (kv *KVStore) Profile() kernel.AccessProfile { return kv.QueryProfile }
 
 func (kv *KVStore) runServe(k *kernel.Kernel, p *kernel.Proc, op KVServe, budget sim.Time) (sim.Time, bool, error) {
 	if !kv.serveInit {
@@ -268,7 +256,7 @@ func (kv *KVStore) runServe(k *kernel.Kernel, p *kernel.Proc, op KVServe, budget
 		kv.serveEl = 0
 		kv.serveWork = 0
 	}
-	res, err := k.SteadyRun(p, budget, kv.QuerySampler())
+	res, err := k.SteadyRun(p, budget, kv)
 	if err != nil {
 		return res.Consumed, false, err
 	}

@@ -169,6 +169,10 @@ type Trace struct {
 	writes slab[uint64]
 	counts slab[uint32]
 	bytes  int64
+
+	// scratch is the run buffer capture draws into before encoding. It is
+	// working space, not record, so Bytes leaves it out.
+	scratch []kernel.AccessRun
 }
 
 // NewTrace returns an empty trace for one sampler geometry. The first
@@ -199,9 +203,6 @@ func (t *Trace) Chunks() int {
 	defer t.mu.Unlock()
 	return len(t.chunks)
 }
-
-// captureBufPool recycles the scratch run buffers capture encodes from.
-var captureBufPool sync.Pool
 
 // encode stores runs as one chunk's columns in the arena. ok=false means
 // the layout cannot hold some run exactly — a start outside [Base,
@@ -308,14 +309,8 @@ func (t *Trace) chunkFor(idx, n int, r *sim.Rand) (ch traceChunk, hit, ok bool) 
 		return traceChunk{}, false, false
 	}
 	pre := t.rng.State()
-	var buf []kernel.AccessRun
-	if b, bok := captureBufPool.Get().(*[]kernel.AccessRun); bok {
-		buf = (*b)[:0]
-	}
-	runs := t.master.SampleRun(&t.rng, buf, n)
-	ch, ok = t.encode(runs)
-	runs = runs[:0]
-	captureBufPool.Put(&runs)
+	t.scratch = t.master.SampleRun(&t.rng, t.scratch[:0], n)
+	ch, ok = t.encode(t.scratch)
 	if !ok {
 		// Unencodable stream: disable the trace rather than serve a lossy
 		// record. Consumers fall back to live sampling.

@@ -8,7 +8,6 @@ import (
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/mem"
 	"hawkeye/internal/sim"
-	"hawkeye/internal/vmm"
 )
 
 // GB is one gibibyte.
@@ -201,15 +200,4 @@ func HACCIO(bytes mem.Bytes, scale float64) *Instance {
 		&Populate{Start: 0, Pages: pages, Write: true, OpCost: 1},
 	}}
 	return &Instance{Spec: Spec{Name: "haccio", Footprint: bytes}, Program: prog, Pages: pages}
-}
-
-// SteadyOnly returns an instance that skips population (memory already
-// mapped by a previous phase) — used when composing custom scenarios.
-func SteadyOnly(spec Spec, scale float64, base vmm.VPN) *Instance {
-	inst := New(spec, scale)
-	inst.Sampler.Base = base
-	inst.Program = &Phased{Phases: []Phase{
-		&Steady{Work: spec.WorkSeconds, Sampler: inst.Sampler},
-	}}
-	return inst
 }
