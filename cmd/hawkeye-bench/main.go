@@ -15,7 +15,9 @@
 //
 // Profiling: -cpuprofile, -memprofile and -trace write pprof/execution-trace
 // files covering the experiment runs (flag parsing and table printing
-// excluded), for use with `go tool pprof` / `go tool trace`.
+// excluded), for use with `go tool pprof` / `go tool trace`. A -sweep run
+// takes -cpuprofile only; it exits 2 on -memprofile, -trace and
+// -trace-events.
 //
 // Simulation tracing (distinct from -trace, which records the Go runtime):
 // -trace-events enables the deterministic event/counter subsystem on every
@@ -153,6 +155,38 @@ func runSweep(sf sweepFlags, opts experiments.Options, parallel int, jsonOut str
 	return 0
 }
 
+// runFlags are the flag values checkFlags validates.
+type runFlags struct {
+	scale                          float64
+	sweep                          bool
+	memProfile, traceOut, traceDir string
+}
+
+// checkFlags returns an error naming the first flag that describes no run
+// or that the run would ignore, or nil if every value is usable.
+// Experiments read a non-positive scale as "use the default", and a NaN or
+// infinite one sizes machines from garbage. A -sweep run writes no heap
+// profile, runtime trace or simulation trace: those outputs are set up for
+// experiment runs only, so accepting them would exit 0 with no file written.
+func checkFlags(f runFlags) error {
+	if math.IsNaN(f.scale) || math.IsInf(f.scale, 0) || f.scale <= 0 {
+		return fmt.Errorf("-scale must be finite and greater than 0, got %v", f.scale)
+	}
+	if !f.sweep {
+		return nil
+	}
+	for _, o := range []struct{ name, v string }{
+		{"memprofile", f.memProfile},
+		{"trace", f.traceOut},
+		{"trace-events", f.traceDir},
+	} {
+		if o.v != "" {
+			return fmt.Errorf("-%s is not supported with -sweep", o.name)
+		}
+	}
+	return nil
+}
+
 // splitList splits a comma-separated flag value, dropping empty elements.
 func splitList(s string) []string {
 	var out []string
@@ -190,11 +224,11 @@ func main() {
 	sweepKeep := flag.Float64("sweep-keep", 0.15, "page-cache residue fragmenting each sweep machine (0 = pristine)")
 	flag.Parse()
 
-	// Experiments treat a non-positive scale as "use the default", and a
-	// NaN or infinite one sizes machines from garbage, so reject all three
-	// before anything runs.
-	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "-scale must be finite and greater than 0, got %v\n", *scale)
+	if err := checkFlags(runFlags{
+		scale: *scale, sweep: *sweep,
+		memProfile: *memProfile, traceOut: *traceOut, traceDir: *traceDir,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

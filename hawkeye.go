@@ -196,8 +196,9 @@ func NewSim(o Options) *Sim {
 // machine and returns its handle. Workloads with a sampler-driven steady
 // state replay their access stream from the process-wide trace cache
 // (captured on first use; see internal/workload's Trace) — byte-identical to
-// live sampling, with the trace_replay_hits / trace_cache_bytes /
-// trace_cache_evict counters surfacing in vmstat when tracing is on.
+// live sampling. Replay leaves the machine's vmstat as live sampling would;
+// the cache's figures and trace_replay_hits are process-wide, on the
+// introspect registry (/metrics).
 func (s *Sim) AddWorkload(name string) *RunningWorkload {
 	inst := workload.NewByName(name, s.Scale)
 	if inst.Sampler != nil {
@@ -207,7 +208,7 @@ func (s *Sim) AddWorkload(name string) *RunningWorkload {
 			Pinned:    kernel.DefaultPinnedChunkFrac,
 			Geom:      inst.Sampler.Geometry(),
 			ProcIndex: len(s.K.Procs()),
-		}, s.K.Trace)
+		})
 	}
 	p := s.K.Spawn(name, inst.Program)
 	rw := &RunningWorkload{Inst: inst, Proc: p}

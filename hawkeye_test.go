@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hawkeye/internal/experiments"
+	"hawkeye/internal/introspect"
 )
 
 func TestNewPolicyRegistry(t *testing.T) {
@@ -68,6 +69,37 @@ func TestReportMarksOOMKill(t *testing.T) {
 	}
 	if report := sim.Report(w); !strings.HasSuffix(report, " oom-killed") {
 		t.Fatalf("report of a killed process lacks the mark: %s", report)
+	}
+}
+
+// TestSimReplaysTraceCache checks that the facade wires catalog workloads
+// into the process-wide trace cache, and that replay leaves no mark on the
+// machine: of two identical traced Sims in one process, the second replays
+// what the first captured — the process-wide trace_replay_hits grows during
+// its run — yet both report the same and write the same vmstat.
+func TestSimReplaysTraceCache(t *testing.T) {
+	hits := introspect.GetCounter("trace_replay_hits")
+	run := func() (report, vmstat string, replayed int64) {
+		before := hits.Value()
+		s := NewSim(Options{Policy: "linux", MemoryBytes: 2 << 30, Scale: 1.0 / 48, Seed: 7, Trace: &TraceConfig{}})
+		w := s.AddWorkload("cg.D")
+		s.MustRun(5 * Second)
+		var b strings.Builder
+		if err := s.K.Trace.WriteVmstat(&b); err != nil {
+			t.Fatal(err)
+		}
+		return s.Report(w), b.String(), hits.Value() - before
+	}
+	r1, v1, _ := run()
+	r2, v2, replayed := run()
+	if replayed == 0 {
+		t.Error("the second run replayed no chunk of the trace the first captured")
+	}
+	if r1 != r2 {
+		t.Errorf("reports differ:\n%s\n%s", r1, r2)
+	}
+	if v1 != v2 {
+		t.Errorf("vmstat differs between the capturing and the replaying run:\n%s\nvs\n%s", v1, v2)
 	}
 }
 

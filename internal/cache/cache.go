@@ -60,14 +60,13 @@ func New[K comparable, V interface{ Bytes() int64 }](name string) *Cache[K, V] {
 }
 
 // Get returns the value for key, calling build to make it if the cache has
-// none, and reports how many entries this call evicted to fit the budget.
-// build runs outside the cache's lock, once per key however many
-// goroutines ask. A key that is not equal to itself (one holding a NaN)
-// could never be found or deleted once stored, so its value is built for
-// this call alone and not kept.
-func (c *Cache[K, V]) Get(key K, build func() V) (V, int64) {
+// none, and evicts to fit the budget. build runs outside the cache's lock,
+// once per key however many goroutines ask. A key that is not equal to
+// itself (one holding a NaN) could never be found or deleted once stored,
+// so its value is built for this call alone and not kept.
+func (c *Cache[K, V]) Get(key K, build func() V) V {
 	if key != key {
-		return build(), 0
+		return build()
 	}
 	c.mu.Lock()
 	e := c.entries[key]
@@ -90,21 +89,18 @@ func (c *Cache[K, V]) Get(key K, build func() V) (V, int64) {
 	// The entry may have been evicted, or the cache reset, since it was
 	// built; its value is still returned, but only entries in the map are
 	// budgeted.
-	var evicted int64
 	if c.entries[key] == e {
-		evicted = c.evictLocked(e)
+		c.evictLocked(e)
 	}
-	return e.val, evicted
+	return e.val
 }
 
 // evictLocked evicts least-recently-used built entries, never keep, until
-// the cache fits its budget, and returns how many it evicted. Caller holds
-// mu.
-func (c *Cache[K, V]) evictLocked(keep *entry[V]) int64 {
+// the cache fits its budget. Caller holds mu.
+func (c *Cache[K, V]) evictLocked(keep *entry[V]) {
 	if c.budget <= 0 {
-		return 0
+		return
 	}
-	var n int64
 	for c.residentLocked() > c.budget {
 		var victimKey K
 		var victim *entry[V]
@@ -122,9 +118,7 @@ func (c *Cache[K, V]) evictLocked(keep *entry[V]) int64 {
 		}
 		delete(c.entries, victimKey)
 		c.evictions++
-		n++
 	}
-	return n
 }
 
 // residentLocked sums the Bytes of built entries. Caller holds mu.

@@ -115,10 +115,11 @@ func (m *Metrics) EventsFired() uint64 {
 // TraceSet collects the trace recorder of every machine an experiment
 // builds, labeled by policy name, so callers can export events and counter
 // snapshots after the run. Safe for concurrent use so the parallel runner
-// can share one per experiment.
+// can share one per experiment. It holds recorders, not machines: once a
+// machine's run ends its entry is frozen (freeze), and the machine is
+// garbage whatever the set still holds.
 type TraceSet struct {
 	mu      sync.Mutex
-	seen    map[*kernel.Kernel]struct{}
 	counts  map[string]int
 	entries []TraceEntry
 }
@@ -135,27 +136,33 @@ type TraceEntry struct {
 
 // NewTraceSet returns an empty collector.
 func NewTraceSet() *TraceSet {
-	return &TraceSet{
-		seen:   make(map[*kernel.Kernel]struct{}),
-		counts: make(map[string]int),
-	}
+	return &TraceSet{counts: make(map[string]int)}
 }
 
-// observe registers a traced machine (deduplicated by pointer). Labels are
-// the policy name; repeats within one run get a "#2", "#3", ... suffix in
-// machine-creation order — the order of a serial run, since fanOut merges
-// its jobs' private sets in job order.
+// observe registers a traced machine; every machine is observed once, at
+// construction (Options.observe). Labels are the policy name; repeats
+// within one run get a "#2", "#3", ... suffix in machine-creation order —
+// the order of a serial run, since fanOut merges its jobs' private sets in
+// job order.
 func (t *TraceSet) observe(k *kernel.Kernel) {
 	if t == nil || k == nil || k.Trace == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.seen[k]; ok {
-		return
-	}
-	t.seen[k] = struct{}{}
 	t.addLocked(TraceEntry{base: machineLabel(k), Trace: k.Trace, Series: k.Rec})
+}
+
+// freeze ends the run of every machine in the set: each entry's recorders
+// keep their values but drop their references into the machine
+// (trace.Recorder.Freeze, sim.Recorder.Freeze). The set, and the introspect
+// registry, which holds the same counters, then keep no machine alive.
+// Call it only once none of the set's machines runs any more.
+func (t *TraceSet) freeze() {
+	for _, e := range t.Entries() {
+		e.Trace.Freeze()
+		e.Series.Freeze()
+	}
 }
 
 // addLocked appends e, numbering its label after the entries already held.
@@ -339,13 +346,24 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes an experiment by ID.
+// Run executes an experiment by ID. On a traced run the experiment's
+// machines are observed into a private TraceSet, frozen when it returns and
+// then merged into o.Traces, so no machine outlives the run.
 func Run(id string, o Options) (*Table, error) {
 	f, ok := Registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (valid: %s)", id, strings.Join(IDs(), ", "))
 	}
-	return f(o.withDefaults())
+	o = o.withDefaults()
+	if o.Trace == nil {
+		return f(o)
+	}
+	traces := o.Traces
+	o.Traces = NewTraceSet()
+	t, err := f(o)
+	o.Traces.freeze()
+	traces.merge(o.Traces)
+	return t, err
 }
 
 // --- shared machinery -----------------------------------------------------
@@ -429,7 +447,7 @@ func runConcurrent(o Options, pol kernel.Policy, insts []*workload.Instance, nam
 				Pinned:    kernel.DefaultPinnedChunkFrac,
 				Geom:      inst.Sampler.Geometry(),
 				ProcIndex: i,
-			}, k.Trace)
+			})
 		}
 	}
 	procs := make([]*kernel.Proc, len(insts))

@@ -67,7 +67,7 @@ const fragKeep = 0.15
 func Fig5(o Options) (*Table, error) {
 	names := []string{"graph500", "xsbench", "cg.D"}
 	pols := recoveryPolicies(o)
-	runs, err := fanOutReplay(o, len(names)*len(pols), func(o Options, i int) (runResult, error) {
+	runs, err := fanOut(o, len(names)*len(pols), func(o Options, i int) (runResult, error) {
 		name := names[i/len(pols)]
 		spec := workload.Lookup(name)
 		spec.WorkSeconds = o.work(spec.WorkSeconds)
@@ -162,7 +162,7 @@ func Table5(o Options) (*Table, error) {
 		Header: []string{"workload", "policy", "t1", "t2", "t3", "avg", "spread", "speedup-vs-4k"},
 	}
 	pols := recoveryPolicies(o)
-	runs, err := fanOutReplay(o, len(names)*len(pols), func(o Options, i int) ([]runResult, error) {
+	runs, err := fanOut(o, len(names)*len(pols), func(o Options, i int) ([]runResult, error) {
 		name := names[i/len(pols)]
 		spec := workload.Lookup(name)
 		spec.WorkSeconds = o.work(spec.WorkSeconds / 2)

@@ -173,7 +173,9 @@ func sweepPolicy(name string, threshold float64, quick bool) (kernel.Policy, err
 // with spec.FragKeep, run the workload under the cell's policy, and report
 // the outcome. Failures land in the row's Error field rather than aborting
 // the sweep. The cell's seed overrides the options' seed; everything else
-// (scale, quick, cache bypass, tracing) flows through from o.
+// (scale, quick, cache bypass, tracing) flows through from o. A traced
+// cell's machine is frozen when the cell ends (TraceSet.freeze); only that
+// machine, since parallel cells share o.Traces.
 func RunSweepCell(o Options, spec SweepSpec, cell SweepCell) SweepRow {
 	row := SweepRow{Policy: cell.Policy, Threshold: cell.Threshold, Seed: cell.Seed}
 	ws, ok := workload.Catalog()[spec.Workload]
@@ -197,6 +199,10 @@ func RunSweepCell(o Options, spec SweepSpec, cell SweepCell) SweepRow {
 	res, k, err := runConcurrent(o, pol, []*workload.Instance{inst}, []string{spec.Workload}, spec.FragKeep, 0)
 	if k != nil {
 		row.CowDirtyChunks = k.COWDirtyChunks()
+		if k.Trace != nil {
+			k.Trace.Freeze()
+			k.Rec.Freeze()
+		}
 	}
 	if err != nil {
 		row.Error = err.Error()

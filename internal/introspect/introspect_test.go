@@ -61,9 +61,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 
 // TestSnapshotCollisionGlobalsWin pins the merge rule: when an attached
 // machine's per-run counter shares a name with a process-wide counter or
-// gauge, the process-wide value is reported — never the sum — so metrics
-// tracked at both scopes (trace_replay_hits, the cache byte counters) are
-// not double-counted.
+// gauge, the process-wide value is reported — never the sum — so a name
+// used at both scopes is not double-counted.
 func TestSnapshotCollisionGlobalsWin(t *testing.T) {
 	r := NewRegistry()
 	clock := &sim.Clock{}

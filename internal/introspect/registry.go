@@ -9,7 +9,10 @@
 //     (internal/cache instances: internal/snapshot's warm-up images and
 //     internal/workload's access traces),
 //   - and the per-run trace.Counters registries of recently built traced
-//     machines, attached at construction and summed on scrape —
+//     machines, attached at construction and summed on scrape (a machine's
+//     counters describe the simulated machine only; what the caches hold
+//     and serve is process-wide, on the cache gauges and the global
+//     trace_replay_hits counter) —
 //
 // so a 200-cell sweep or a long hawkeye-sim run can be watched live instead
 // of only read back from files afterwards. This is the paper's own argument
@@ -153,7 +156,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 // be called before the machine runs (SetFlight's contract). Machines beyond
 // MaxAttached evict the oldest entry. A nil recorder (tracing off) is a
 // no-op. Returns a detach func; callers that let machines age out instead
-// may discard it.
+// may discard it. The registry keeps the recorder's counters, whose gauge
+// callbacks read the machine until trace.Recorder.Freeze ends its run; the
+// experiments harness freezes every machine it builds when its run ends,
+// so the registry keeps none alive.
 func (r *Registry) Attach(label string, rec *trace.Recorder) func() {
 	if rec == nil {
 		return func() {}
@@ -187,10 +193,9 @@ func (r *Registry) Armed() bool { return r.armed.Load() }
 
 // Snapshot scrapes the registry: the summed per-run counters of attached
 // machines, overlaid by global counters, overlaid by global gauges — on a
-// name collision the process-wide metric wins, never double-counting a
-// value that is tracked both per machine and globally (trace_replay_hits,
-// the cache byte counters). The result is sorted by name, so iteration
-// order — and therefore /metrics output for equal values — is deterministic.
+// name collision the process-wide metric wins, never a sum of the two
+// scopes. The result is sorted by name, so iteration order — and therefore
+// /metrics output for equal values — is deterministic.
 func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
 	machines := make([]*attached, len(r.machines))
@@ -299,19 +304,4 @@ func RegisterCache(name string, stats func() CacheStats) {
 	RegisterGauge(name+"_entries", func() float64 { return float64(stats().Entries) })
 	RegisterGauge(name+"_bytes", func() float64 { return float64(stats().ResidentBytes) })
 	RegisterGauge(name+"_evict", func() float64 { return float64(stats().Evictions) })
-}
-
-// CountCacheAttach records one cache use on a per-run recorder: the resident
-// bytes of the image/trace this machine attached and how many entries the
-// attach evicted. This is the one hook shape both process-wide caches stamp
-// their per-machine counters through (vmstat keeps its deterministic
-// per-machine values; the process-wide truth lives in the RegisterCache
-// gauges). Nil-safe: the explicit guard keeps the name concatenation off the
-// tracing-disabled path.
-func CountCacheAttach(rec *trace.Recorder, prefix string, bytes, evicted int64) {
-	if rec == nil {
-		return
-	}
-	rec.Counter(prefix + "_bytes").Add(bytes)
-	rec.Counter(prefix + "_evict").Add(evicted)
 }

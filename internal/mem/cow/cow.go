@@ -4,8 +4,8 @@
 // reverse map. A Table[T] looks like a []T but stores its elements in
 // fixed-size chunks behind a spine of pointers, so that
 //
-//   - Seal makes the table forkable in O(#chunks): it disowns every chunk,
-//     freezing the current contents as a shared generation;
+//   - Seal makes the table forkable without touching a chunk: it disowns
+//     every chunk, freezing the current contents as a shared generation;
 //   - Fork produces a new table over the same chunks in O(#chunks) — it
 //     copies only the spine, never element data;
 //   - a write after Seal/Fork copies just the 4096-element chunk it lands
@@ -13,12 +13,15 @@
 //     chunks it actually dirties.
 //
 // Chunks are shared structurally, not via per-chunk reference counts: a
-// chunk is either owned by exactly one table (its owner token matches) or
-// frozen and shared read-only by any number of tables (owner nil). Sealing
-// is the only transition from owned to shared, and nothing ever transitions
-// back — a table that needs to write a shared chunk copies it. Unreferenced
-// chunks are reclaimed by the garbage collector when the last spine that
-// points at them goes away; a dropped table needs no release call.
+// chunk is either owned by exactly one table (the table's owned bit for its
+// spine slot is set) or frozen and shared read-only by any number of tables.
+// Sealing is the only transition from owned to shared, and nothing ever
+// transitions back — a table that needs to write a shared chunk copies it.
+// Ownership lives in the table, not the chunk, so a chunk is a plain array
+// in an exact allocation size class, and sealing writes to no chunk.
+// Unreferenced chunks are reclaimed by the garbage collector when the last
+// spine that points at them goes away; a dropped table needs no release
+// call.
 //
 // Tables are additionally lazy against a background fill value: a chunk
 // that has never been written points at a per-table-family "background"
@@ -52,27 +55,23 @@ const (
 	chunkMask  = ChunkElems - 1
 )
 
-// chunk is one fixed-size run of elements plus its ownership token. owner
-// is nil for a frozen (shared, read-only) chunk, or points at the owning
-// table's identity token when exactly one table may write it in place.
-type chunk[T any] struct {
-	owner *uint8
-	data  [ChunkElems]T
-}
+// chunk is one fixed-size run of elements.
+type chunk[T any] [ChunkElems]T
 
 // Table is a chunked copy-on-write array of T. The zero value is not
 // usable; build with NewTable.
 type Table[T any] struct {
 	spine []*chunk[T]
+	// owned holds one bit per spine slot, set while this table alone may
+	// write that slot's chunk in place: it materialized the chunk and has
+	// not sealed since. A clear bit is the background chunk or a frozen one
+	// that other forks may share.
+	owned []uint64
 	n     int
 	// bg is the shared background chunk every never-written spine slot
 	// points at. It is immutable for the life of the table family and is
 	// never counted as resident.
 	bg *chunk[T]
-	// id is this table's ownership token. A fresh *uint8 per table: the
-	// pointer's identity (not its value) is what distinguishes owners, and
-	// pointers to distinct non-zero-size allocations are never equal.
-	id *uint8
 	// canFork records that the table has been sealed and not written
 	// since: exactly the state in which Fork is sound. A write after Seal
 	// clears it — the written chunk is owned again and would alias.
@@ -90,11 +89,12 @@ type Table[T any] struct {
 // NewTable builds a table of n elements, every one reading as fill.
 func NewTable[T any](n int, fill T) *Table[T] {
 	bg := &chunk[T]{}
-	for i := range bg.data {
-		bg.data[i] = fill
+	for i := range bg {
+		bg[i] = fill
 	}
-	t := &Table[T]{bg: bg, id: new(uint8)}
+	t := &Table[T]{bg: bg}
 	t.spine = make([]*chunk[T], spineLen(n))
+	t.owned = make([]uint64, ownedLen(len(t.spine)))
 	for i := range t.spine {
 		t.spine[i] = bg
 	}
@@ -105,6 +105,13 @@ func NewTable[T any](n int, fill T) *Table[T] {
 // spineLen returns the number of chunks covering n elements.
 func spineLen(n int) int { return (n + ChunkElems - 1) >> chunkShift }
 
+// ownedLen returns the number of words holding one bit per spine slot.
+func ownedLen(slots int) int { return (slots + 63) >> 6 }
+
+// owns reports whether spine slot ci holds a chunk this table may write in
+// place.
+func (t *Table[T]) owns(ci int) bool { return t.owned[ci>>6]&(1<<(ci&63)) != 0 }
+
 // Len returns the element count.
 func (t *Table[T]) Len() int { return t.n }
 
@@ -113,7 +120,7 @@ func (t *Table[T]) Len() int { return t.n }
 // chunk read the fill value, mirroring a slice sized up to the chunk
 // boundary.
 func (t *Table[T]) Get(i int) T {
-	return t.spine[i>>chunkShift].data[i&chunkMask]
+	return t.spine[i>>chunkShift][i&chunkMask]
 }
 
 // Set writes element i, materializing a private copy of its chunk first if
@@ -121,10 +128,10 @@ func (t *Table[T]) Get(i int) T {
 func (t *Table[T]) Set(i int, v T) {
 	ci := i >> chunkShift
 	ch := t.spine[ci]
-	if ch.owner != t.id {
+	if !t.owns(ci) {
 		ch = t.materialize(ci)
 	}
-	ch.data[i&chunkMask] = v
+	ch[i&chunkMask] = v
 }
 
 // Mut returns a writable pointer to element i, materializing its chunk
@@ -133,10 +140,10 @@ func (t *Table[T]) Set(i int, v T) {
 func (t *Table[T]) Mut(i int) *T {
 	ci := i >> chunkShift
 	ch := t.spine[ci]
-	if ch.owner != t.id {
+	if !t.owns(ci) {
 		ch = t.materialize(ci)
 	}
-	return &ch.data[i&chunkMask]
+	return &ch[i&chunkMask]
 }
 
 // MutSpan returns a writable slice aliasing the elements of element i's
@@ -148,22 +155,23 @@ func (t *Table[T]) Mut(i int) *T {
 func (t *Table[T]) MutSpan(i int) []T {
 	ci := i >> chunkShift
 	ch := t.spine[ci]
-	if ch.owner != t.id {
+	if !t.owns(ci) {
 		ch = t.materialize(ci)
 	}
-	return ch.data[i&chunkMask:]
+	return ch[i&chunkMask:]
 }
 
 // materialize copies chunk ci into a privately owned chunk and installs
-// it. The copy is built fully (owner set) before being published on the
-// spine, so concurrent readers of *other* forks — which share the old
-// chunk, never the spine — are unaffected. Only copies of resident chunks
-// count as dirty: materializing the background fill is first-touch lazy
-// allocation, which a freshly built table would pay too.
+// it. Concurrent readers of *other* forks share the old chunk, never the
+// spine or the owned bits, so they are unaffected. Only copies of resident
+// chunks count as dirty: materializing the background fill is first-touch
+// lazy allocation, which a freshly built table would pay too.
 func (t *Table[T]) materialize(ci int) *chunk[T] {
 	src := t.spine[ci]
-	nc := &chunk[T]{owner: t.id, data: src.data}
+	nc := new(chunk[T])
+	*nc = *src
 	t.spine[ci] = nc
+	t.owned[ci>>6] |= 1 << (ci & 63)
 	if src != t.bg {
 		t.dirty++
 		t.ctr.Inc()
@@ -175,17 +183,10 @@ func (t *Table[T]) materialize(ci int) *chunk[T] {
 // Seal freezes the table's current contents as a shared generation:
 // every owned chunk is disowned, after which the table may be forked any
 // number of times. The table itself stays fully usable — its next write
-// to any chunk copies that chunk. O(#chunks), touching no element data.
+// to any chunk copies that chunk. It clears the owned bits and writes to
+// no chunk: O(#chunks / 64).
 func (t *Table[T]) Seal() {
-	for _, ch := range t.spine {
-		// Only chunks this table owns carry a non-nil owner; skipping the
-		// rest keeps Seal from writing to chunks shared with concurrent
-		// readers (the write would be a benign nil-over-nil, but it would
-		// still be a data race).
-		if ch.owner != nil {
-			ch.owner = nil
-		}
-	}
+	clear(t.owned)
 	t.canFork = true
 }
 
@@ -202,9 +203,9 @@ func (t *Table[T]) Fork() *Table[T] {
 	// (or none) when its trace is attached.
 	return &Table[T]{
 		spine:   slices.Clone(t.spine),
+		owned:   make([]uint64, len(t.owned)),
 		n:       t.n,
 		bg:      t.bg,
-		id:      new(uint8),
 		canFork: true,
 	}
 }
@@ -217,6 +218,9 @@ func (t *Table[T]) Grow(n int) {
 	}
 	for len(t.spine) < spineLen(n) {
 		t.spine = append(t.spine, t.bg)
+	}
+	for len(t.owned) < ownedLen(len(t.spine)) {
+		t.owned = append(t.owned, 0)
 	}
 	t.n = n
 }

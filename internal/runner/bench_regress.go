@@ -346,7 +346,7 @@ func setupSweepCellSteady() func() {
 		WriteFrac: 0.2,
 		Prof:      kernel.AccessProfile{Locality: 0.8, CyclesPerAccess: 820},
 	}
-	rs := workload.NewReplaySampler(workload.NewTrace(geom), nil)
+	rs := workload.NewReplaySampler(workload.NewTrace(geom))
 	if _, err := k.SteadyRun(p, cfg.Quantum, rs); err != nil {
 		panic(err) // captures the quantum every op replays
 	}

@@ -9,7 +9,6 @@ import (
 
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/trace"
-	"hawkeye/internal/workload"
 )
 
 // traceOpts enables tracing (with sampling) on top of the fast test options.
@@ -116,13 +115,11 @@ func TestTraceChromeExport(t *testing.T) {
 	}
 	if !raceEnabled {
 		// The comparison is about output equality, which race
-		// instrumentation cannot affect; under -race the machines two more
-		// traced fig5 runs keep alive (the vmstat gauges read them) stall an
-		// 8 GB host. Each run starts from an empty trace cache: a machine's
-		// trace_replay_hits counts the chunks earlier machines recorded.
-		defer workload.TraceCache.Reset()
+		// instrumentation cannot affect, and under -race it costs time the
+		// package cannot spare: with it, this test took 149 s and the
+		// package's -race run 496 s of go test's 600 s default timeout
+		// (2-vCPU host).
 		digest := func(procs int) [sha256.Size]byte {
-			workload.TraceCache.Reset()
 			var res Result
 			withProcs(procs, func() { res = Run([]string{"fig5"}, traceOpts(), 1)[0] })
 			if res.Error != "" {

@@ -87,6 +87,14 @@ func NewRecorder(clock *Clock) *Recorder {
 	return &Recorder{clock: clock, series: make(map[string]*Series)}
 }
 
+// Freeze detaches the recorder from its clock, keeping a copy of the current
+// time: the recorder keeps its series but no longer references the engine
+// the clock belongs to (trace.Recorder.Freeze). Samples recorded afterwards
+// are stamped with the frozen time.
+func (r *Recorder) Freeze() {
+	r.clock = &Clock{now: r.clock.now}
+}
+
 // Series returns (creating if needed) the series with the given name.
 func (r *Recorder) Series(name string) *Series {
 	s, ok := r.series[name]

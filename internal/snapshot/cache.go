@@ -23,7 +23,6 @@ package snapshot
 
 import (
 	"hawkeye/internal/cache"
-	"hawkeye/internal/introspect"
 	"hawkeye/internal/kernel"
 )
 
@@ -50,12 +49,6 @@ var Cache = cache.New[Key, *kernel.Snapshot]("snapshot_cache")
 // co-simulated on a shared engine cannot be snapshotted — and cfg.Trace is
 // ignored for the warm-up (forks attach their own tracing).
 func For(cfg kernel.Config, keep, pinned float64) *kernel.Snapshot {
-	snap, _ := forUse(cfg, keep, pinned)
-	return snap
-}
-
-// forUse is For that also reports how many snapshots this call evicted.
-func forUse(cfg kernel.Config, keep, pinned float64) (*kernel.Snapshot, int64) {
 	if cfg.Engine != nil {
 		panic("snapshot: cache requested for a shared-engine config")
 	}
@@ -77,15 +70,8 @@ func forUse(cfg kernel.Config, keep, pinned float64) (*kernel.Snapshot, int64) {
 //	if keep > 0 { k.FragmentMemoryPinned(keep, pinned) }
 //
 // on a fresh machine, minus the warm-up cost on every call after the first.
-//
-// When tracing is attached, the forked machine's recorder carries the cache
-// counters: snapshot_cache_bytes (the frozen footprint of the image this
-// machine forked from — per-snapshot, hence deterministic) and
-// snapshot_cache_evict (snapshots this fork's cache visit evicted; always 0
-// under the default unlimited budget).
+// The fork's vmstat describes the machine only: the cache's own figures are
+// process-wide, on the introspect registry.
 func Fork(cfg kernel.Config, pol kernel.Policy, keep, pinned float64) *kernel.Kernel {
-	snap, evicted := forUse(cfg, keep, pinned)
-	k := snap.Fork(pol, cfg.Trace)
-	introspect.CountCacheAttach(k.Trace, "snapshot_cache", snap.Bytes(), evicted)
-	return k
+	return For(cfg, keep, pinned).Fork(pol, cfg.Trace)
 }

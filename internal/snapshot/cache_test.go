@@ -151,10 +151,11 @@ func TestCacheBudgetKeepsLiveEntry(t *testing.T) {
 	_, _ = first, second
 }
 
-// TestCacheCounterSchema pins the names and semantics of the counters the
-// cache stamps onto traced forks: snapshot_cow_dirty_chunks registers with
-// every traced machine, and snapshot_cache_bytes / snapshot_cache_evict
-// record the forked image's frozen footprint and this visit's evictions.
+// TestCacheCounterSchema pins what the cache leaves on a traced fork's
+// vmstat: snapshot_cow_dirty_chunks, which counts this machine's own
+// copy-on-write traffic, and no snapshot_cache_ line — the cache's resident
+// bytes and evictions depend on what else the process forked, so they live
+// on the introspect registry, not on the machine.
 func TestCacheCounterSchema(t *testing.T) {
 	Cache.Reset()
 	defer Cache.Reset()
@@ -168,24 +169,13 @@ func TestCacheCounterSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	vmstat := buf.String()
-	for _, name := range []string{
-		"snapshot_cow_dirty_chunks ",
-		"snapshot_cache_bytes ",
-		"snapshot_cache_evict ",
-	} {
-		if !strings.Contains(vmstat, "\n"+name) {
-			t.Errorf("vmstat snapshot is missing %q:\n%s", strings.TrimSpace(name), vmstat)
-		}
+	if !strings.Contains(vmstat, "\nsnapshot_cow_dirty_chunks ") {
+		t.Errorf("vmstat snapshot is missing snapshot_cow_dirty_chunks:\n%s", vmstat)
 	}
-
-	snap := For(cfg, 0.3, kernel.DefaultPinnedChunkFrac)
-	if got := k.Trace.Counter("snapshot_cache_bytes").Value(); got != snap.Bytes() {
-		t.Errorf("snapshot_cache_bytes = %d, want the image's frozen footprint %d", got, snap.Bytes())
+	if strings.Contains(vmstat, "\nsnapshot_cache_") {
+		t.Errorf("vmstat snapshot carries a process-wide snapshot_cache_ line:\n%s", vmstat)
 	}
-	if got := k.Trace.Counter("snapshot_cache_evict").Value(); got != 0 {
-		t.Errorf("snapshot_cache_evict = %d under unlimited budget, want 0", got)
-	}
-	if snap.Bytes() <= 0 {
+	if snap := For(cfg, 0.3, kernel.DefaultPinnedChunkFrac); snap.Bytes() <= 0 {
 		t.Error("Snapshot.Bytes must be positive for a fragmented machine")
 	}
 }

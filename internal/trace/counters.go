@@ -109,6 +109,18 @@ func (cs *Counters) Gauge(name string, fn func() float64) {
 	cs.gauges = append(cs.gauges, gauge{name: name, fn: fn})
 }
 
+// freeze points the registry at clock and replaces every gauge callback
+// with one that returns the gauge's current value (Recorder.Freeze).
+func (cs *Counters) freeze(clock *sim.Clock) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.clock = clock
+	for i := range cs.gauges {
+		v := cs.gauges[i].fn()
+		cs.gauges[i].fn = func() float64 { return v }
+	}
+}
+
 // Sample is one (name, value) pair of a snapshot.
 type Sample struct {
 	Name  string

@@ -199,6 +199,22 @@ func (r *Recorder) Emit(ev Event) {
 	r.flight.Record(ev)
 }
 
+// Freeze ends the machine's run for this recorder: each gauge keeps the
+// value it reads now, and the clock becomes a detached copy of the current
+// time. Exports read the same afterwards, but the recorder no longer
+// references the machine (gauge callbacks read its state, and the clock is
+// a field of its engine), so a recorder kept for export does not keep the
+// machine alive. Call it once the machine has stopped running. Nil-safe.
+func (r *Recorder) Freeze() {
+	if r == nil {
+		return
+	}
+	clock := new(sim.Clock)
+	clock.Advance(r.clock.Now())
+	r.clock = clock
+	r.Counters.freeze(clock)
+}
+
 // Total reports how many events were emitted over the run.
 func (r *Recorder) Total() uint64 {
 	if r == nil {

@@ -38,7 +38,6 @@ import (
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/mem"
 	"hawkeye/internal/sim"
-	"hawkeye/internal/trace"
 	"hawkeye/internal/vmm"
 )
 
@@ -336,15 +335,13 @@ type ReplaySampler struct {
 	idx      int
 	live     Sampler // fallback, synchronized at chunk boundaries
 	liveMode bool
-	hits     *trace.Counter // nil-safe: replayed-chunk tally
 }
 
 var _ kernel.AccessSampler = (*ReplaySampler)(nil)
 
-// NewReplaySampler returns a replay cursor at the top of the trace. hits
-// (nil-safe) counts chunks served from the record.
-func NewReplaySampler(t *Trace, hits *trace.Counter) *ReplaySampler {
-	return &ReplaySampler{t: t, live: t.geom.sampler(), hits: hits}
+// NewReplaySampler returns a replay cursor at the top of the trace.
+func NewReplaySampler(t *Trace) *ReplaySampler {
+	return &ReplaySampler{t: t, live: t.geom.sampler()}
 }
 
 // Profile implements kernel.AccessSampler.
@@ -364,7 +361,6 @@ func (rs *ReplaySampler) SampleRun(r *sim.Rand, buf []kernel.AccessRun, n int) [
 			r.SetState(ch.post)
 			rs.live.seqPos, rs.live.seqCnt = ch.seqPos, ch.seqCnt
 			if hit {
-				rs.hits.Inc()
 				replayHits.Inc()
 			}
 			return ch.decode(rs.t.geom.Base, buf)

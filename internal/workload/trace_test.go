@@ -6,7 +6,6 @@ import (
 	"hawkeye/internal/kernel"
 	"hawkeye/internal/mem"
 	"hawkeye/internal/sim"
-	"hawkeye/internal/trace"
 	"hawkeye/internal/vmm"
 )
 
@@ -84,7 +83,7 @@ func TestTraceReplayIdentity(t *testing.T) {
 				t.Fatalf("%d pages: wide offsets = %v", g.Pages, tr.wide)
 			}
 			for pass := 0; pass < 2; pass++ {
-				rs := NewReplaySampler(tr, nil)
+				rs := NewReplaySampler(tr)
 				r := sim.NewRand(7)
 				got := drainRuns(rs, r, chunks, tc.n)
 				if rs.Live() {
@@ -123,7 +122,7 @@ func TestTraceCapturePostState(t *testing.T) {
 	liveR := sim.NewRand(3)
 
 	tr := NewTrace(g)
-	rs := NewReplaySampler(tr, nil)
+	rs := NewReplaySampler(tr)
 	r := sim.NewRand(3)
 	for i := 0; i < 8; i++ {
 		liveS.SampleRun(liveR, nil, n)
@@ -134,24 +133,21 @@ func TestTraceCapturePostState(t *testing.T) {
 	}
 }
 
-// TestTraceReplayCountsHits verifies hit accounting: the capturing pass
-// scores zero hits, each replaying pass one per chunk.
+// TestTraceReplayCountsHits verifies hit accounting on the process-wide
+// trace_replay_hits counter: the capturing pass scores zero hits, each
+// replaying pass one per chunk.
 func TestTraceReplayCountsHits(t *testing.T) {
 	g := testGeometry()
 	const chunks, n = 6, 64
 	tr := NewTrace(g)
 
-	var clk sim.Clock
-	hits := trace.NewRecorder(&clk, trace.Config{}).Counter("trace_replay_hits")
-
-	rs := NewReplaySampler(tr, hits)
-	drainRuns(rs, sim.NewRand(1), chunks, n)
-	if got := hits.Value(); got != 0 {
+	start := replayHits.Value()
+	drainRuns(NewReplaySampler(tr), sim.NewRand(1), chunks, n)
+	if got := replayHits.Value() - start; got != 0 {
 		t.Fatalf("capturing pass scored %d hits, want 0", got)
 	}
-	rs = NewReplaySampler(tr, hits)
-	drainRuns(rs, sim.NewRand(1), chunks, n)
-	if got := hits.Value(); got != int64(chunks) {
+	drainRuns(NewReplaySampler(tr), sim.NewRand(1), chunks, n)
+	if got := replayHits.Value() - start; got != int64(chunks) {
 		t.Fatalf("replay pass scored %d hits, want %d", got, chunks)
 	}
 }
@@ -164,14 +160,14 @@ func TestTraceDivergedConsumerFallsBackLive(t *testing.T) {
 	const chunks, n = 4, 128
 
 	tr := NewTrace(g)
-	drainRuns(NewReplaySampler(tr, nil), sim.NewRand(1), chunks, n)
+	drainRuns(NewReplaySampler(tr), sim.NewRand(1), chunks, n)
 
 	// A consumer on a different seed: its stream never matches the record.
 	wantS := g.sampler()
 	wantR := sim.NewRand(99)
 	want := drainRuns(&wantS, wantR, chunks, n)
 
-	rs := NewReplaySampler(tr, nil)
+	rs := NewReplaySampler(tr)
 	r := sim.NewRand(99)
 	got := drainRuns(rs, r, chunks, n)
 	if !rs.Live() {
@@ -207,8 +203,8 @@ func TestTraceCacheBudgetEvicts(t *testing.T) {
 	}
 
 	grow := func(k TraceKey) *Trace {
-		tr, _ := TraceFor(k)
-		drainRuns(NewReplaySampler(tr, nil), sim.NewRand(k.Cfg.Seed), 4, 512)
+		tr := TraceFor(k)
+		drainRuns(NewReplaySampler(tr), sim.NewRand(k.Cfg.Seed), 4, 512)
 		return tr
 	}
 	a := grow(key(1))
@@ -221,7 +217,7 @@ func TestTraceCacheBudgetEvicts(t *testing.T) {
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("after over-budget attach: %+v, want 1 entry / 1 eviction", st)
 	}
-	if tr, _ := TraceFor(key(1)); tr == a {
+	if tr := TraceFor(key(1)); tr == a {
 		t.Fatal("evicted trace was returned again")
 	}
 }

@@ -17,13 +17,12 @@ import (
 	"hawkeye/internal/cache"
 	"hawkeye/internal/introspect"
 	"hawkeye/internal/kernel"
-	"hawkeye/internal/trace"
 )
 
-// replayHits is the process-wide twin of the per-run trace_replay_hits
-// counter — the scrape's collision rule makes it the one /metrics reports,
-// so it also covers machines whose recorders have been detached or were
-// never traced.
+// replayHits counts the chunks served from a recorded trace, over the whole
+// process (trace_replay_hits on /metrics). It is not a machine's figure:
+// whether a chunk was captured or replayed depends on which machine reached
+// it first, so a machine's vmstat does not carry it.
 var replayHits = introspect.GetCounter("trace_replay_hits")
 
 // TraceKey identifies one process access stream within a sweep: machine
@@ -46,10 +45,9 @@ type TraceKey struct {
 var TraceCache = cache.New[TraceKey, *Trace]("trace_cache")
 
 // TraceFor returns the process-wide trace for key, creating an empty one on
-// first use, and reports how many traces this call evicted under the byte
-// budget. The caller's cfg must have Engine and Trace nil-normalized
+// first use. The caller's cfg must have Engine and Trace nil-normalized
 // (TraceFor enforces it by clearing both).
-func TraceFor(key TraceKey) (*Trace, int64) {
+func TraceFor(key TraceKey) *Trace {
 	key.Cfg.Engine = nil
 	key.Cfg.Trace = nil
 	return TraceCache.Get(key, func() *Trace { return NewTrace(key.Geom) })
@@ -62,12 +60,9 @@ func TraceFor(key TraceKey) (*Trace, int64) {
 // guarantee the stream-identity contract: replay requires a Phased program
 // whose only sampler consumer is a single Steady phase over the instance's
 // sampler, with every other phase known not to touch the process RNG.
-//
-// rec (nil-safe) receives the cache counters: trace_cache_bytes (the
-// trace's footprint at attach time), trace_cache_evict (traces this attach
-// evicted under the byte budget) and trace_replay_hits (chunks later served
-// from the record to this machine's samplers).
-func (inst *Instance) AttachReplay(key TraceKey, rec *trace.Recorder) bool {
+// Replay leaves no mark on the machine's vmstat; the cache's figures and
+// trace_replay_hits are process-wide, on the introspect registry.
+func (inst *Instance) AttachReplay(key TraceKey) bool {
 	if inst.Sampler == nil || inst.Sampler.Geometry() != key.Geom {
 		return false
 	}
@@ -92,8 +87,6 @@ func (inst *Instance) AttachReplay(key TraceKey, rec *trace.Recorder) bool {
 	if st == nil {
 		return false
 	}
-	tr, evicted := TraceFor(key)
-	st.Source = NewReplaySampler(tr, rec.Counter("trace_replay_hits"))
-	introspect.CountCacheAttach(rec, "trace_cache", tr.Bytes(), evicted)
+	st.Source = NewReplaySampler(TraceFor(key))
 	return true
 }
